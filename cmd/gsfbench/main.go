@@ -1,33 +1,34 @@
 // Command gsfbench measures the simulators' hot paths and emits
 // machine-readable perf artifacts. The alloc suite (BENCH_alloc.json)
-// replays the 35-trace allocation sweep through the indexed allocator
-// and the reference linear scan, verifying they are decision-identical
-// and gating on a minimum speedup. The queue suite (BENCH_queue.json)
-// runs the Table III profiling sweep over the green-SKU catalog through
-// the fast queueing kernel (ziggurat sampling, single-sort statistics,
-// SLO memoization) and through a reference-shaped run approximating the
+// replays the 35-trace allocation sweep through the columnar engine
+// and the linear-scan oracle (alloc.SimulateOracle), verifying they are
+// decision-identical and gating on a minimum speedup. The queue suite
+// (BENCH_queue.json) runs the Table III profiling sweep over the
+// green-SKU catalog through the batched queueing kernel, the prior
+// scalar kernel, and a reference-shaped run approximating the
 // pre-optimization kernel, verifying the factor matrices are identical
-// and gating on the kernel speedup.
+// and gating on the kernel speedups.
 //
 // Usage:
 //
 //	gsfbench                                    # both suites, write artifacts
-//	gsfbench -suite alloc -min-speedup 2        # CI gate on the placement index
+//	gsfbench -suite alloc -min-speedup 2        # CI gate on the columnar engine
 //	gsfbench -suite queue -queue-min-speedup 2  # CI gate on the queueing kernel
 //	gsfbench -suite queue -queue-min-batch-speedup 2 -queue-min-cumulative 8
 //	                                            # CI gates on the batched kernel
-//	gsfbench -suite scale -scale-min-speedup 2  # CI gate on the columnar fleet
-//	gsfbench -suite alloc -scale-servers 1000000  # grow the artifact's scale table
-//	gsfbench -suite alloc -shards 3             # sharded multi-pool replay
+//	gsfbench -suite scale -scale-min-speedup 2  # CI gate at a large fleet
+//	gsfbench -suite alloc -scale-servers 100000 # add a scale row to BENCH_alloc.json
 //	gsfbench -quick                             # small smoke run
 //	gsfbench -suite queue -cpuprofile cpu.out -memprofile mem.out
 //	                                            # profile the kernel sweep
 //
 // The scale suite replays the columnar streaming path (GSFB decode +
-// virgin-frontier fleet) against Config.ReferenceLayout at large fleet
-// sizes, verifying decision identity; standalone it writes
-// BENCH_scale.json, and with -scale-servers the alloc suite embeds the
-// same row in BENCH_alloc.json's "scale" table.
+// virgin-frontier fleet) against the oracle at large fleet sizes,
+// verifying decision identity; standalone it writes BENCH_scale.json,
+// and with -scale-servers the alloc suite embeds the same row in
+// BENCH_alloc.json's "scale" table. The oracle costs O(servers) per
+// placement, so the scale arm's wall time grows linearly with
+// -scale-servers.
 package main
 
 import (
@@ -48,17 +49,16 @@ func main() {
 	out := flag.String("out", "BENCH_alloc.json", "alloc artifact path ('-' for stdout)")
 	qout := flag.String("qout", "BENCH_queue.json", "queue artifact path ('-' for stdout)")
 	sout := flag.String("scale-out", "BENCH_scale.json", "scale artifact path for -suite scale ('-' for stdout)")
-	minSpeedup := flag.Float64("min-speedup", 0, "exit non-zero unless indexed/reference speedup reaches this (0 disables)")
+	minSpeedup := flag.Float64("min-speedup", 0, "exit non-zero unless the oracle/engine speedup of the alloc sweep reaches this (0 disables)")
 	queueMinSpeedup := flag.Float64("queue-min-speedup", 0, "exit non-zero unless the queueing kernel fast/reference speedup reaches this (0 disables)")
 	queueMinBatchSpeedup := flag.Float64("queue-min-batch-speedup", 0, "exit non-zero unless the batched/fast kernel speedup reaches this (0 disables)")
 	queueMinCumulative := flag.Float64("queue-min-cumulative", 0, "exit non-zero unless the batched/reference cumulative speedup reaches this (0 disables)")
-	scaleServers := flag.Int("scale-servers", 0, "servers per class in the scale bench (0 skips it in the alloc suite; -suite scale defaults to 1000000)")
+	scaleServers := flag.Int("scale-servers", 0, "servers per class in the scale bench (0 skips it in the alloc suite; -suite scale defaults to 100000)")
 	scaleTraces := flag.Int("scale-traces", 6, "production-suite traces in the scale bench")
-	scaleMinSpeedup := flag.Float64("scale-min-speedup", 0, "exit non-zero unless the columnar/reference-layout speedup reaches this (0 disables)")
+	scaleMinSpeedup := flag.Float64("scale-min-speedup", 0, "exit non-zero unless the oracle/columnar speedup of the scale replay reaches this (0 disables)")
 	qServers := flag.Int("qservers", 64, "queueing curve benchmark parallelism")
 	qSteps := flag.Int("qsteps", 8, "queueing curve load points")
 	qRequests := flag.Int("qrequests", 0, "requests per simulation in the queue suite (0 = paper default)")
-	shards := flag.Int("shards", 0, "replay the alloc sweep through the pool-sharded pipeline with this many shards (0 = single-pool replay)")
 	seed := flag.Uint64("seed", 42, "queueing benchmark seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
@@ -81,7 +81,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *suite == "scale" && *scaleServers <= 0 {
-		*scaleServers = 1000000
+		*scaleServers = 100000
 	}
 	var cpuf *os.File
 	if *cpuprofile != "" {
@@ -96,7 +96,7 @@ func main() {
 		}
 		cpuf = f
 	}
-	err := run(*suite, *servers, *traces, *out, *qout, *sout, *minSpeedup, *queueMinSpeedup, *queueMinBatchSpeedup, *queueMinCumulative, *scaleMinSpeedup, *scaleServers, *scaleTraces, *qServers, *qSteps, *qRequests, *shards, *seed)
+	err := run(*suite, *servers, *traces, *out, *qout, *sout, *minSpeedup, *queueMinSpeedup, *queueMinBatchSpeedup, *queueMinCumulative, *scaleMinSpeedup, *scaleServers, *scaleTraces, *qServers, *qSteps, *qRequests, *seed)
 	if cpuf != nil {
 		pprof.StopCPUProfile()
 		if cerr := cpuf.Close(); cerr != nil && err == nil {
@@ -128,10 +128,10 @@ func writeMemProfile(path string) error {
 	return werr
 }
 
-func run(suite string, servers, traces int, out, qout, sout string, minSpeedup, queueMinSpeedup, queueMinBatchSpeedup, queueMinCumulative, scaleMinSpeedup float64, scaleServers, scaleTraces, qServers, qSteps, qRequests, shards int, seed uint64) error {
+func run(suite string, servers, traces int, out, qout, sout string, minSpeedup, queueMinSpeedup, queueMinBatchSpeedup, queueMinCumulative, scaleMinSpeedup float64, scaleServers, scaleTraces, qServers, qSteps, qRequests int, seed uint64) error {
 	ctx := context.Background()
 	if suite == "all" || suite == "alloc" {
-		if err := runAlloc(ctx, servers, traces, out, minSpeedup, scaleMinSpeedup, scaleServers, scaleTraces, qServers, qSteps, shards, seed); err != nil {
+		if err := runAlloc(ctx, servers, traces, out, minSpeedup, scaleMinSpeedup, scaleServers, scaleTraces, qServers, qSteps, seed); err != nil {
 			return err
 		}
 	}
@@ -148,19 +148,18 @@ func run(suite string, servers, traces int, out, qout, sout string, minSpeedup, 
 	return nil
 }
 
-func runAlloc(ctx context.Context, servers, traces int, out string, minSpeedup, scaleMinSpeedup float64, scaleServers, scaleTraces, qServers, qSteps, shards int, seed uint64) error {
+func runAlloc(ctx context.Context, servers, traces int, out string, minSpeedup, scaleMinSpeedup float64, scaleServers, scaleTraces, qServers, qSteps int, seed uint64) error {
 	alloc, err := experiments.AllocSweepBench(ctx, experiments.AllocBenchOptions{
 		Traces:          traces,
 		ServersPerClass: servers,
-		Shards:          shards,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("alloc sweep: %d traces, %d VMs, %d servers/class (%s, %d shards)\n",
-		alloc.Traces, alloc.VMs, alloc.ServersPerClass, alloc.Policy, alloc.Shards)
-	fmt.Printf("  indexed   %8.3fs\n", alloc.IndexedSeconds)
-	fmt.Printf("  reference %8.3fs\n", alloc.ReferenceSeconds)
+	fmt.Printf("alloc sweep: %d traces, %d VMs, %d servers/class (%s)\n",
+		alloc.Traces, alloc.VMs, alloc.ServersPerClass, alloc.Policy)
+	fmt.Printf("  engine    %8.3fs\n", alloc.IndexedSeconds)
+	fmt.Printf("  oracle    %8.3fs\n", alloc.ReferenceSeconds)
 	fmt.Printf("  speedup   %8.2fx   decision-identical: %v\n", alloc.Speedup, alloc.DecisionIdentical)
 
 	queue, err := experiments.QueueBench(experiments.QueueBenchOptions{
@@ -185,10 +184,10 @@ func runAlloc(ctx context.Context, servers, traces int, out string, minSpeedup, 
 	}
 
 	if !alloc.DecisionIdentical {
-		return fmt.Errorf("indexed and reference allocators diverged — the placement index is wrong")
+		return fmt.Errorf("engine and oracle diverged — the columnar engine is wrong")
 	}
 	if minSpeedup > 0 && alloc.Speedup < minSpeedup {
-		return fmt.Errorf("indexed path speedup %.2fx below the %.2fx gate", alloc.Speedup, minSpeedup)
+		return fmt.Errorf("engine speedup %.2fx below the %.2fx gate", alloc.Speedup, minSpeedup)
 	}
 	if scaleServers > 0 {
 		return gateScale(scale, scaleMinSpeedup)
@@ -196,8 +195,8 @@ func runAlloc(ctx context.Context, servers, traces int, out string, minSpeedup, 
 	return nil
 }
 
-// runScaleBench runs the large-fleet columnar-vs-reference-layout
-// replay and prints its measurement.
+// runScaleBench runs the large-fleet columnar-vs-oracle replay and
+// prints its measurement.
 func runScaleBench(ctx context.Context, scaleServers, scaleTraces int) (experiments.AllocScaleResult, error) {
 	scale, err := experiments.AllocScaleBench(ctx, experiments.AllocScaleOptions{
 		Traces:          scaleTraces,
@@ -209,14 +208,14 @@ func runScaleBench(ctx context.Context, scaleServers, scaleTraces int) (experime
 	fmt.Printf("scale replay: %d traces, %d VMs, %d servers/class (%s)\n",
 		scale.Traces, scale.VMs, scale.ServersPerClass, scale.Policy)
 	fmt.Printf("  columnar  %8.3fs   (streaming GSFB decode)\n", scale.ColumnarSeconds)
-	fmt.Printf("  reference %8.3fs   (struct layout)\n", scale.ReferenceSeconds)
+	fmt.Printf("  oracle    %8.3fs   (linear scan)\n", scale.ReferenceSeconds)
 	fmt.Printf("  speedup   %8.2fx   decision-identical: %v\n", scale.Speedup, scale.DecisionIdentical)
 	return scale, nil
 }
 
 func gateScale(scale experiments.AllocScaleResult, scaleMinSpeedup float64) error {
 	if !scale.DecisionIdentical {
-		return fmt.Errorf("columnar and reference-layout replays diverged — the columnar fleet is wrong")
+		return fmt.Errorf("columnar and oracle replays diverged — the columnar fleet is wrong")
 	}
 	if scaleMinSpeedup > 0 && scale.Speedup < scaleMinSpeedup {
 		return fmt.Errorf("columnar replay speedup %.2fx below the %.2fx gate", scale.Speedup, scaleMinSpeedup)
@@ -253,8 +252,6 @@ func runQueue(ctx context.Context, qout string, queueMinSpeedup, queueMinBatchSp
 	fmt.Printf("  cumulative %7.2fx   factors-identical: %v\n", kernel.CumulativeSpeedup, kernel.FactorsIdentical)
 	fmt.Printf("  knee search: frac %.3f in %d evals (fixed-step: %d) %.3fs\n",
 		kernel.Knee.KneeFrac, kernel.Knee.Evals, kernel.Knee.FixedStepEvals, kernel.Knee.Seconds)
-	fmt.Printf("  fluid knee:  frac %.3f in %d sims + %d fluid %.3fs\n",
-		kernel.Knee.FluidKneeFrac, kernel.Knee.FluidSimEvals, kernel.Knee.FluidEvals, kernel.Knee.FluidSeconds)
 
 	art := experiments.QueueArtifact{Kernel: kernel}
 	if err := writeTo(qout, func(f *os.File) error { return experiments.WriteQueueArtifact(f, art) }); err != nil {

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestAuditCleanOnSyntheticTrace(t *testing.T) {
 
 // TestAuditCatchesBrokenAllocator proves the audit layer detects a
 // deliberately broken allocator: with the feasibility check disabled,
-// pick oversubscribes servers and the core/memory conservation and
-// admissibility checks must fire.
+// the oracle's pick oversubscribes servers and the core/memory
+// conservation and admissibility checks must fire.
 func TestAuditCatchesBrokenAllocator(t *testing.T) {
 	testIgnoreCapacity = true
 	defer func() { testIgnoreCapacity = false }()
@@ -62,7 +63,7 @@ func TestAuditCatchesBrokenAllocator(t *testing.T) {
 		{ID: 2, Arrive: 3, Depart: 19, Cores: 60, Memory: 600, Gen: 3, MaxMemFrac: 0.5},
 	}}
 	rec := audit.NewRecorder()
-	res, err := Simulate(over, Config{Base: baseClass(), NBase: 1, Audit: rec}, AdoptNone)
+	res, err := SimulateOracle(context.Background(), over, Config{Base: baseClass(), NBase: 1, Audit: rec}, AdoptNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAuditExplicitCheckerWins(t *testing.T) {
 		{ID: 0, Arrive: 1, Depart: 9, Cores: 100, Memory: 900, Gen: 3, MaxMemFrac: 0.5},
 	}}
 	rec := audit.NewRecorder()
-	if _, err := Simulate(over, Config{Base: baseClass(), NBase: 1, Audit: rec}, AdoptNone); err != nil {
+	if _, err := SimulateOracle(context.Background(), over, Config{Base: baseClass(), NBase: 1, Audit: rec}, AdoptNone); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Count() == 0 {
@@ -105,4 +106,32 @@ func TestAuditExplicitCheckerWins(t *testing.T) {
 	}
 	// The process-default recorder must stay clean — SweepMain would
 	// otherwise fail the whole run after the tests pass.
+}
+
+// TestMultiPoolReplaysAudited: multi-pool replays report to the
+// process-default checker, as single-green ones do. Capacity taken from
+// a green server behind the simulator's back must surface at Finish's
+// conservation audit.
+func TestMultiPoolReplaysAudited(t *testing.T) {
+	rec := audit.NewRecorder()
+	prev := audit.Default()
+	audit.SetDefault(rec)
+	defer audit.SetDefault(prev)
+
+	mc := MultiConfig{Base: Pool{Class: baseClass(), N: 2}, Greens: twoGreens()}
+	s := newSim("multi-audit", multiBaseConfig(mc), mc.Greens)
+	s.decideMulti = func(trace.VM) MultiDecision { return MultiDecision{Scales: []float64{0, 1}} }
+	for _, vm := range smallTrace().VMs {
+		if err := s.Step(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec.Count() != 0 {
+		t.Fatalf("clean multi-pool steps recorded violations: %v", rec.Violations())
+	}
+	s.pools[2].coresFree[0] -= 5
+	s.Finish(100)
+	if rec.Counts()["alloc/core-conservation"] == 0 {
+		t.Fatalf("corrupted green pool not caught on a multi-pool replay: %v", rec.Counts())
+	}
 }

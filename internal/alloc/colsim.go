@@ -1,22 +1,18 @@
 package alloc
 
-// Columnar streaming simulator: the million-server allocation path.
-//
-// The original simulator (the reference layout retained below in
-// alloc.go) materializes one heap-allocated server struct per server
-// up front — fine at 10^3 servers, hostile at 10^6: a million pointer
-// dereferences per snapshot sweep, a million objects for the GC to
-// trace, and full materialization even when a replay touches a sliver
-// of the fleet. This file rebuilds the allocation path around two
+// The columnar streaming simulator: the one allocation engine. Every
+// replay runs here — single-green sizing (SimulateContext,
+// SimulateSource), multi-pool diversity studies (SimulateMultiContext),
+// and gsfd's checkpointed what-if forks (snapshot.go). It rests on two
 // ideas:
 //
 //   - Columnar fleet state. A pool is four parallel slices
 //     (coresFree, memFree, vms, touched) indexed by server id, plus
-//     the shared ixCore placement index attached over those ids.
+//     the ixCore placement index (index.go) attached over those ids.
 //     Snapshot sweeps walk flat float64 arrays; the whole fleet is a
 //     handful of allocations regardless of size.
 //
-//   - A virgin frontier. Servers an id at or past `frontier` have
+//   - A virgin frontier. Servers at an id at or past `frontier` have
 //     never hosted a VM, so they are all byte-identical: full free
 //     capacity, empty. They exist implicitly — no column entries, no
 //     index nodes — until first touched. Because every placement that
@@ -25,14 +21,12 @@ package alloc
 //     [0, frontier), and a replay's memory footprint is
 //     O(servers touched), not O(servers configured).
 //
-// The simulator itself (Sim) is a push-style event consumer:
-// NewSim → Step per arrival → Finish at the horizon. SimulateSource
-// drives it from any trace.Source, so a binary trace streams through
-// without ever materializing; snapshot.go checkpoints a Sim between
-// Steps and restores it bit-identically. Decision identity with the
-// reference layout — same placements, same rejections, same Result
-// bits — is proven by the differential suite and cross-checked at
-// runtime on every audited placement.
+// A cluster is a baseline pool plus K green pools, tried in order. The
+// simulator (Sim) is a push-style event consumer: NewSim → Step per
+// arrival → Finish at the horizon. Decision identity with the linear
+// scan oracle (oracle.go) — same placements, same rejections, same
+// Result bits — is proven by the differential suite and cross-checked
+// at runtime on every audited placement.
 
 import (
 	"context"
@@ -81,7 +75,7 @@ func (f *fleet) state(id int32) (cores, mem float64, nonEmpty bool) {
 	return f.capC, f.capM, false
 }
 
-// pick selects a feasible server decision-identically to the reference
+// pick selects a feasible server decision-identically to the oracle's
 // scan over all n servers. The scan visits ids ascending, so it
 // reduces to: scan [0, frontier) — which the index answers — then
 // offer the first virgin (id == frontier) as one more candidate. Later
@@ -148,7 +142,7 @@ func (f *fleet) combine(t int32, virgin bool, pol Policy) int32 {
 	}
 }
 
-// firstEmptyFitting is the single-pool full-node rule: the lowest id
+// firstEmptyFitting is the single-green full-node rule: the lowest id
 // of an empty server fitting (cores, mem). Touched empties all precede
 // the first virgin.
 func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
@@ -158,6 +152,18 @@ func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 		}
 	}
 	if f.frontier < f.n && f.capC >= cores && f.capM >= mem {
+		return f.frontier
+	}
+	return nilNode
+}
+
+// firstEmpty is the multi-pool full-node rule: the lowest id of an
+// empty server, with no capacity condition.
+func (f *fleet) firstEmpty() int32 {
+	if t := f.ix.segFirstEmpty(); t != nilNode {
+		return t
+	}
+	if f.frontier < f.n {
 		return f.frontier
 	}
 	return nilNode
@@ -186,8 +192,7 @@ func (f *fleet) place(id int32, cores, mem, touched float64) {
 // release returns a departure's resources. Departing VMs were placed,
 // so id is always materialized. A drained server stays materialized
 // and indexed: its accumulated float drift is part of decision
-// identity with the reference layout, which never forgets a server
-// either.
+// identity with the oracle, which never forgets a server either.
 func (f *fleet) release(id int32, cores, mem, touched float64) {
 	f.ix.detachID(id)
 	f.coresFree[id] += cores
@@ -197,46 +202,28 @@ func (f *fleet) release(id int32, cores, mem, touched float64) {
 	f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
 }
 
-// scanPick is the columnar reference scan: the same preference
-// predicate as pick() in alloc.go, run over the touched prefix plus
-// the first virgin. Audited runs re-derive every indexed decision
-// through it.
+// limit is one past the highest id a scan needs to visit: the touched
+// prefix plus the first virgin, which stands for all of them.
+func (f *fleet) limit() int32 {
+	if f.frontier < f.n {
+		return f.frontier + 1
+	}
+	return f.frontier
+}
+
+// scanPick is the columnar scan: the oracle's preference predicate
+// (better in oracle.go) run over the touched prefix plus the first
+// virgin. Audited runs re-derive every indexed decision through it.
 func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
 	best := nilNode
 	var bc, bm float64
 	bne := false
-	limit := f.frontier
-	if f.frontier < f.n {
-		limit++
-	}
-	for id := int32(0); id < limit; id++ {
+	for id := int32(0); id < f.limit(); id++ {
 		c, m, ne := f.state(id)
 		if !(c >= cores && m >= mem) {
 			continue
 		}
-		better := false
-		switch {
-		case best == nilNode:
-			better = true
-		case preferNonEmpty && ne != bne:
-			better = ne
-		default:
-			switch pol {
-			case BestFit:
-				if c != bc {
-					better = c < bc
-				} else {
-					better = m < bm
-				}
-			case WorstFit:
-				if c != bc {
-					better = c > bc
-				} else {
-					better = m > bm
-				}
-			}
-		}
-		if better {
+		if best == nilNode || better(c, m, ne, bc, bm, bne, pol, preferNonEmpty) {
 			best, bc, bm, bne = id, c, m, ne
 		}
 	}
@@ -245,7 +232,7 @@ func (f *fleet) scanPick(cores, mem float64, pol Policy, preferNonEmpty bool) in
 
 // observeInto folds one snapshot of the fleet into the aggregator,
 // visiting non-empty servers in id order — the same sequence the
-// struct-layout observe sees, so the running sums stay bit-identical.
+// oracle's observe sees, so the running sums stay bit-identical.
 // Virgins are empty by definition and contribute nothing.
 func (f *fleet) observeInto(a *aggregator) {
 	if f.n == 0 {
@@ -265,20 +252,23 @@ func (f *fleet) observeInto(a *aggregator) {
 	a.observePacking(allocC, capC, allocM, capM)
 }
 
-// colDeparture is a pending departure in the columnar simulator: the
-// server is named by pool and id, not pointer, so the heap is flat
-// data the snapshot codec can carry verbatim.
+// colDeparture is a pending departure: the server is named by pool
+// (0 = baseline, then the green pools in order) and id, not pointer,
+// so the heap is flat data the snapshot codec can carry verbatim.
 type colDeparture struct {
 	at         float64
 	cores, mem float64
 	touched    float64
 	id         int32
-	green      bool
+	pool       int32
 }
 
-// colDepHeap mirrors depHeap's ordering and sift moves exactly
-// (compare .at only, same swap pattern), so equal-time departures pop
-// in the identical order — part of decision identity.
+// colDepHeap is a min-heap of pending departures ordered by time. It
+// uses typed push/pop rather than container/heap, whose interface API
+// would box every departure (one heap allocation per placement). The
+// sift moves mirror container/heap's exactly, so equal-time departures
+// pop in a fixed order — part of decision identity, since the order of
+// float additions on a server decides its drift.
 type colDepHeap []colDeparture
 
 func colDepPush(h *colDepHeap, d colDeparture) {
@@ -328,16 +318,20 @@ func colDepSiftDown(h colDepHeap, i int) {
 // Sim is the streaming columnar simulator: feed arrivals with Step in
 // trace order, close with Finish. Between Steps its entire state is
 // flat data — Snapshot/Restore (snapshot.go) checkpoint it exactly.
+//
+// A Sim built by NewSim (or Restore) runs the Config rules: two pools,
+// one Decider, full-node VMs on the first empty baseline server that
+// fits a whole node. SimulateMultiContext builds one with K green pools
+// and a MultiDecider, whose full-node rule takes the first empty
+// baseline server with no fit check.
 type Sim struct {
-	cfg    Config
-	decide Decider
-	chk    audit.Checker
-	name   string
+	router
+	chk  audit.Checker
+	name string
 
-	base, green fleet
-	deps        colDepHeap
-	baseAgg     aggregator
-	greenAgg    aggregator
+	pools []fleet      // [0] baseline, then the green pools in try order
+	aggs  []aggregator // aligned with pools
+	deps  colDepHeap
 
 	res        Result
 	nextSnap   float64
@@ -346,40 +340,57 @@ type Sim struct {
 	events     int
 }
 
-// NewSim validates the cluster configuration and returns an empty
-// simulator. The configuration checks and their messages match
-// SimulateContext's.
-func NewSim(name string, cfg Config, decide Decider) (*Sim, error) {
-	if cfg.ReferenceScan || cfg.ReferenceLayout {
-		return nil, fmt.Errorf("alloc: the streaming simulator is columnar only; use SimulateContext for the reference paths")
-	}
+// validateConfig applies NewSim's cluster checks; Restore applies them
+// to a decoded configuration too.
+func validateConfig(cfg Config) error {
 	if cfg.NBase < 0 || cfg.NGreen < 0 || cfg.NBase+cfg.NGreen == 0 {
-		return nil, fmt.Errorf("alloc: cluster needs at least one server")
+		return fmt.Errorf("alloc: cluster needs at least one server")
 	}
 	if cfg.NBase > 0 && (cfg.Base.Cores <= 0 || cfg.Base.Memory <= 0) {
-		return nil, fmt.Errorf("alloc: baseline class has no capacity")
+		return fmt.Errorf("alloc: baseline class has no capacity")
 	}
 	if cfg.NGreen > 0 && (cfg.Green.Cores <= 0 || cfg.Green.Memory <= 0) {
-		return nil, fmt.Errorf("alloc: green class has no capacity")
+		return fmt.Errorf("alloc: green class has no capacity")
+	}
+	return nil
+}
+
+// NewSim validates the cluster configuration and returns an empty
+// simulator.
+func NewSim(name string, cfg Config, decide Decider) (*Sim, error) {
+	if err := validateConfig(cfg); err != nil {
+		return nil, err
 	}
 	if decide == nil {
 		decide = AdoptNone
 	}
+	s := newSim(name, cfg, []Pool{{Class: cfg.Green, N: cfg.NGreen}})
+	s.decide = decide
+	return s, nil
+}
+
+// newSim builds an empty simulator over cfg's baseline pool and the
+// given green pools. Callers have validated the cluster.
+func newSim(name string, cfg Config, greens []Pool) *Sim {
 	snapEvery := cfg.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 12
 	}
-	return &Sim{
-		cfg:        cfg,
-		decide:     decide,
+	s := &Sim{
+		router:     router{cfg: cfg},
 		chk:        audit.Resolve(cfg.Audit),
 		name:       name,
-		base:       newFleet(cfg.Base, cfg.NBase),
-		green:      newFleet(cfg.Green, cfg.NGreen),
+		pools:      make([]fleet, 1+len(greens)),
+		aggs:       make([]aggregator, 1+len(greens)),
 		nextSnap:   snapEvery,
 		snapEvery:  snapEvery,
 		lastArrive: math.Inf(-1),
-	}, nil
+	}
+	s.pools[0] = newFleet(cfg.Base, cfg.NBase)
+	for i, g := range greens {
+		s.pools[1+i] = newFleet(g.Class, g.N)
+	}
+	return s
 }
 
 // Events reports how many arrivals the simulator has consumed.
@@ -388,21 +399,28 @@ func (s *Sim) Events() int { return s.events }
 func (s *Sim) release(until float64) {
 	for len(s.deps) > 0 && s.deps[0].at <= until {
 		d := colDepPop(&s.deps)
-		f := &s.base
-		if d.green {
-			f = &s.green
-		}
+		f := &s.pools[d.pool]
 		f.release(d.id, d.cores, d.mem, d.touched)
 		if s.chk != nil {
-			colAuditBounds(s.chk, f, d.id, "release")
+			f.auditBounds(s.chk, d.id, "release")
 		}
 	}
 }
 
 func (s *Sim) observe() {
-	s.base.observeInto(&s.baseAgg)
-	s.green.observeInto(&s.greenAgg)
+	for i := range s.pools {
+		s.pools[i].observeInto(&s.aggs[i])
+	}
 	s.res.Snapshots++
+}
+
+// fullNodePick applies the sim's full-node rule to the baseline pool.
+func (s *Sim) fullNodePick() int32 {
+	base := &s.pools[0]
+	if s.decideMulti != nil {
+		return base.firstEmpty()
+	}
+	return base.firstEmptyFitting(base.capC, base.capM)
 }
 
 // Step consumes one arrival. Events must arrive in trace order; each
@@ -420,53 +438,46 @@ func (s *Sim) Step(vm trace.VM) error {
 	}
 	s.release(vm.Arrive)
 
-	d := s.decide(vm)
-	if d.Scale < 1 {
-		d.Scale = 1
-	}
-	placed := nilNode
+	d, md := s.decideFor(vm)
+	pool, placed := 0, nilNode
 	var cores, mem float64
-	placedGreen := false
 	if vm.FullNode {
-		full, fullMem := s.base.capC, s.base.capM
-		placed = s.base.firstEmptyFitting(full, fullMem)
+		placed = s.fullNodePick()
 		if s.chk != nil {
-			s.auditFullNodePick(placed, full, fullMem)
+			s.auditFullNodePick(placed)
 		}
-		if placed != nilNode {
-			cores, mem = full, fullMem
-		}
+		cores, mem = s.pools[0].capC, s.pools[0].capM
 	} else {
-		if d.Adopt && s.cfg.NGreen > 0 {
-			cores = float64(vm.Cores) * d.Scale
-			mem = float64(vm.Memory) * d.Scale
-			placed = s.pickFrom(&s.green, "green", cores, mem)
-			placedGreen = placed != nilNode
+		for g := 1; g < len(s.pools) && placed == nilNode; g++ {
+			scale, ok := s.offer(g, d, md)
+			if !ok {
+				continue
+			}
+			cores = float64(vm.Cores) * scale
+			mem = float64(vm.Memory) * scale
+			pool, placed = g, s.pickFrom(&s.pools[g], cores, mem)
 		}
 		if placed == nilNode {
 			cores = float64(vm.Cores)
 			mem = float64(vm.Memory)
-			placed = s.pickFrom(&s.base, "base", cores, mem)
+			pool, placed = 0, s.pickFrom(&s.pools[0], cores, mem)
 		}
 	}
+	s.lastArrive = vm.Arrive
+	s.events++
 	if placed == nilNode {
 		if s.chk != nil {
-			s.auditRejection(vm, d)
+			s.auditRejection(vm, d, md)
 		}
 		s.res.Rejected++
 		if vm.Deferrable {
 			s.res.DeferrableRejected++
 		}
-		s.lastArrive = vm.Arrive
-		s.events++
 		return nil
 	}
-	f := &s.base
-	if placedGreen {
-		f = &s.green
-	}
+	f := &s.pools[pool]
 	if s.chk != nil {
-		if fc, fm, _ := f.state(placed); !(fc >= cores && fm >= mem) {
+		if fc, fm, _ := f.state(placed); !admissible(fc, fm, cores, mem) {
 			audit.Failf(s.chk, "alloc", "admissibility",
 				"VM %d (%gc/%gGB) placed on %s with only %gc/%gGB free",
 				vm.ID, cores, mem, f.class.Name, fc, fm)
@@ -479,47 +490,42 @@ func (s *Sim) Step(vm trace.VM) error {
 	touched := mem * vm.MaxMemFrac
 	f.place(placed, cores, mem, touched)
 	if s.chk != nil {
-		colAuditBounds(s.chk, f, placed, "place")
+		f.auditBounds(s.chk, placed, "place")
 	}
 	if testObserve != nil {
-		testObserve(vm.ID, placedGreen, placed)
+		testObserve(vm.ID, pool, placed)
 	}
-	colDepPush(&s.deps, colDeparture{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, green: placedGreen})
+	colDepPush(&s.deps, colDeparture{at: vm.Depart, cores: cores, mem: mem, touched: touched, id: placed, pool: int32(pool)})
 	s.res.Placed++
 	if vm.Deferrable {
 		s.res.DeferrablePlaced++
 	}
-	s.lastArrive = vm.Arrive
-	s.events++
 	return nil
 }
 
 // pickFrom picks through the index; with auditing on, the decision is
-// re-derived by the columnar reference scan and any disagreement
-// reported.
-func (s *Sim) pickFrom(f *fleet, pool string, cores, mem float64) int32 {
+// re-derived by the columnar scan and any disagreement reported.
+func (s *Sim) pickFrom(f *fleet, cores, mem float64) int32 {
 	id := f.pick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
 	if s.chk != nil {
 		if ref := f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty); ref != id {
 			audit.Failf(s.chk, "alloc", "index-divergence",
 				"%s pick(%gc/%gGB, %v, preferNonEmpty=%v): index chose server %d, scan chose %d",
-				pool, cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
+				f.class.Name, cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
 		}
 	}
 	return id
 }
 
 // auditFullNodePick cross-checks the full-node selection against a
-// scan for the lowest empty fitting server.
-func (s *Sim) auditFullNodePick(got int32, full, fullMem float64) {
+// scan for the lowest empty server (that fits a whole node, under the
+// Config rule).
+func (s *Sim) auditFullNodePick(got int32) {
+	base := &s.pools[0]
 	want := nilNode
-	limit := s.base.frontier
-	if s.base.frontier < s.base.n {
-		limit++
-	}
-	for id := int32(0); id < limit; id++ {
-		c, m, ne := s.base.state(id)
-		if !ne && c >= full && m >= fullMem {
+	for id := int32(0); id < base.limit(); id++ {
+		c, m, ne := base.state(id)
+		if !ne && (s.decideMulti != nil || c >= base.capC && m >= base.capM) {
 			want = id
 			break
 		}
@@ -530,76 +536,39 @@ func (s *Sim) auditFullNodePick(got int32, full, fullMem float64) {
 	}
 }
 
-// auditRejection verifies a rejection was genuine under the columnar
-// layout: no feasible server exists in any pool the VM was offered to.
-func (s *Sim) auditRejection(vm trace.VM, d Decision) {
+// auditRejection verifies a rejection was genuine: no feasible server
+// exists in any pool the VM was offered to.
+func (s *Sim) auditRejection(vm trace.VM, d Decision, md MultiDecision) {
 	if vm.FullNode {
-		if s.base.firstEmptyFitting(s.base.capC, s.base.capM) != nilNode {
-			audit.Failf(s.chk, "alloc", "spurious-rejection",
-				"full-node VM %d rejected with an empty baseline server available", vm.ID)
-		}
+		// auditFullNodePick has already scanned for an empty server.
 		return
 	}
-	if s.base.scanPick(float64(vm.Cores), float64(vm.Memory), s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+	pol, prefer := s.cfg.Policy, s.cfg.PreferNonEmpty
+	if s.pools[0].scanPick(float64(vm.Cores), float64(vm.Memory), pol, prefer) != nilNode {
 		audit.Failf(s.chk, "alloc", "spurious-rejection",
 			"VM %d (%dc/%gGB) rejected with feasible baseline server", vm.ID, vm.Cores, float64(vm.Memory))
 	}
-	if d.Adopt && s.cfg.NGreen > 0 {
-		scaledCores := float64(vm.Cores) * d.Scale
-		scaledMem := float64(vm.Memory) * d.Scale
-		if s.green.scanPick(scaledCores, scaledMem, s.cfg.Policy, s.cfg.PreferNonEmpty) != nilNode {
+	for g := 1; g < len(s.pools); g++ {
+		scale, ok := s.offer(g, d, md)
+		if !ok {
+			continue
+		}
+		c, m := float64(vm.Cores)*scale, float64(vm.Memory)*scale
+		if s.pools[g].scanPick(c, m, pol, prefer) != nilNode {
 			audit.Failf(s.chk, "alloc", "spurious-rejection",
-				"adopting VM %d (%gc/%gGB scaled) rejected with feasible green server", vm.ID, scaledCores, scaledMem)
+				"adopting VM %d (%gc/%gGB scaled) rejected with feasible %s server", vm.ID, c, m, s.pools[g].class.Name)
 		}
 	}
 }
 
-// colAuditBounds is auditServerBounds for a columnar server.
-func colAuditBounds(chk audit.Checker, f *fleet, id int32, op string) {
-	const tol = audit.SimTol
-	if c := f.coresFree[id]; c < -tol || c > f.capC+tol {
-		audit.Failf(chk, "alloc", "core-conservation",
-			"%s on %s: free cores %g outside [0, %d]", op, f.class.Name, c, f.class.Cores)
-	}
-	if m := f.memFree[id]; m < -tol || m > f.capM+tol {
-		audit.Failf(chk, "alloc", "memory-conservation",
-			"%s on %s: free memory %g outside [0, %g]", op, f.class.Name, m, f.capM)
-	}
-	if f.vms[id] < 0 {
-		audit.Failf(chk, "alloc", "vm-count", "%s on %s: resident VM count %d < 0", op, f.class.Name, f.vms[id])
-	}
-	if f.touched[id] < -tol {
-		audit.Failf(chk, "alloc", "memory-conservation",
-			"%s on %s: touched memory %g < 0", op, f.class.Name, f.touched[id])
-	}
-}
-
-// auditConservationFleet checks a fully-drained fleet returned to its
-// initial state. Virgins are untouched by construction; the touched
-// prefix must have drained back to exact full capacity.
-func auditConservationFleet(chk audit.Checker, f *fleet) {
-	for id := int32(0); id < f.frontier; id++ {
-		if !audit.Close(f.coresFree[id], f.capC, audit.SimTol) {
-			audit.Failf(chk, "alloc", "core-conservation",
-				"server %d (%s): %g cores free after drain, want %d", id, f.class.Name, f.coresFree[id], f.class.Cores)
-		}
-		if !audit.Close(f.memFree[id], f.capM, audit.SimTol) {
-			audit.Failf(chk, "alloc", "memory-conservation",
-				"server %d (%s): %g GB free after drain, want %g", id, f.class.Name, f.memFree[id], f.capM)
-		}
-		if f.vms[id] != 0 {
-			audit.Failf(chk, "alloc", "vm-count",
-				"server %d (%s): %d VMs resident after drain", id, f.class.Name, f.vms[id])
-		}
-		if !audit.Close(f.touched[id], 0, audit.SimTol) {
-			audit.Failf(chk, "alloc", "memory-conservation",
-				"server %d (%s): %g GB touched after drain", id, f.class.Name, f.touched[id])
-		}
-	}
+// auditBounds checks one mutated server's columns.
+func (f *fleet) auditBounds(chk audit.Checker, id int32, op string) {
+	auditServerBounds(chk, &f.class, f.coresFree[id], f.memFree[id], int(f.vms[id]), f.touched[id], op)
 }
 
 // Finish runs the tail snapshots through the horizon, takes the final
-// observation, drains the audit checks, and returns the Result.
+// observation, drains the audit checks, and returns the Result. On a
+// multi-pool sim Result.Green is the first green pool's.
 func (s *Sim) Finish(horizon float64) Result {
 	for s.nextSnap <= horizon {
 		s.release(s.nextSnap)
@@ -611,27 +580,26 @@ func (s *Sim) Finish(horizon float64) Result {
 
 	if s.chk != nil {
 		s.release(math.Inf(1))
-		auditConservationFleet(s.chk, &s.base)
-		auditConservationFleet(s.chk, &s.green)
-		s.base.ix.auditIntegrityCore(s.chk, "base", s.base.frontier, s.base.state)
-		s.green.ix.auditIntegrityCore(s.chk, "green", s.green.frontier, s.green.state)
+		for i := range s.pools {
+			f := &s.pools[i]
+			for id := int32(0); id < f.frontier; id++ {
+				auditDrained(s.chk, &f.class, id, f.coresFree[id], f.memFree[id], int(f.vms[id]), f.touched[id])
+			}
+			f.ix.auditIntegrityCore(s.chk, f.class.Name, f.frontier, f.state)
+		}
 	}
 
 	res := s.res
-	res.Base = s.baseAgg.stats()
-	res.Green = s.greenAgg.stats()
+	res.Base = s.aggs[0].stats()
+	if len(s.aggs) > 1 {
+		res.Green = s.aggs[1].stats()
+	}
 	return res
 }
 
-// SimulateSource replays a streaming event source through the columnar
-// simulator — the path SimulateContext takes by default, and the only
-// way to consume a binary trace without materializing it. Cancellation
-// is polled every 1024 events, matching SimulateContext.
-func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide Decider) (Result, error) {
-	sim, err := NewSim(src.Name(), cfg, decide)
-	if err != nil {
-		return Result{}, err
-	}
+// run streams src through the simulator, polling ctx every 1024
+// events, and closes it at the source's horizon.
+func (s *Sim) run(ctx context.Context, src trace.Source) (Result, error) {
 	for i := 0; ; i++ {
 		vm, ok := src.Next()
 		if !ok {
@@ -642,12 +610,24 @@ func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide De
 				return Result{}, err
 			}
 		}
-		if err := sim.Step(vm); err != nil {
+		if err := s.Step(vm); err != nil {
 			return Result{}, err
 		}
 	}
 	if err := src.Err(); err != nil {
 		return Result{}, err
 	}
-	return sim.Finish(src.Horizon()), nil
+	return s.Finish(src.Horizon()), nil
+}
+
+// SimulateSource replays a streaming event source through the columnar
+// simulator — the path SimulateContext takes, and the only way to
+// consume a binary trace without materializing it. Cancellation is
+// polled every 1024 events.
+func SimulateSource(ctx context.Context, src trace.Source, cfg Config, decide Decider) (Result, error) {
+	sim, err := NewSim(src.Name(), cfg, decide)
+	if err != nil {
+		return Result{}, err
+	}
+	return sim.run(ctx, src)
 }

@@ -1,13 +1,9 @@
 package alloc
 
-// Differential wall for the columnar streaming simulator: the three
-// allocator implementations — materialized structs with the placement
-// index (ReferenceLayout), materialized structs with the linear scan
-// (ReferenceScan), and the default columnar fleet — must be
-// decision-identical, and the pool-sharded multi replay must match the
-// sequential one bit for bit. TestMain wraps the package in
-// audit.SweepMain, so every columnar pick in these runs is also
-// cross-checked against the columnar reference scan as it happens.
+// Checkpoint and streaming tests for the columnar simulator: a replay
+// paused through Snapshot/Restore must continue bit-identically, the
+// GSFS decoder must refuse corrupt or hostile bytes, and the streaming
+// path must stay O(servers touched) whatever the event count.
 
 import (
 	"bytes"
@@ -21,151 +17,6 @@ import (
 	"github.com/greensku/gsf/internal/trace"
 	"github.com/greensku/gsf/internal/units"
 )
-
-// TestDifferentialLayouts35Traces replays the production suite under
-// every policy through all three implementations and demands
-// bit-identical Results and identical per-VM placement sequences.
-func TestDifferentialLayouts35Traces(t *testing.T) {
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		traces = traces[:5]
-	}
-	totalPlaced, totalRejected := 0, 0
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		cfg := Config{
-			Base:           baseClass(),
-			NBase:          40,
-			Green:          greenClass(),
-			NGreen:         40,
-			Policy:         pol,
-			PreferNonEmpty: pol != FirstFit,
-		}
-		for _, tr := range traces {
-			colRes, colSeq := runObserved(t, tr, cfg)
-
-			structCfg := cfg
-			structCfg.ReferenceLayout = true
-			structRes, structSeq := runObserved(t, tr, structCfg)
-
-			scanCfg := cfg
-			scanCfg.ReferenceScan = true
-			scanRes, scanSeq := runObserved(t, tr, scanCfg)
-
-			for _, arm := range []struct {
-				name string
-				res  Result
-				seq  []placeRec
-			}{{"struct+index", structRes, structSeq}, {"struct+scan", scanRes, scanSeq}} {
-				if !sameResult(colRes, arm.res) {
-					t.Errorf("%s (%v): columnar Result %+v != %s %+v",
-						tr.Name, pol, colRes, arm.name, arm.res)
-				}
-				if len(colSeq) != len(arm.seq) {
-					t.Errorf("%s (%v): %d columnar placements vs %d %s",
-						tr.Name, pol, len(colSeq), len(arm.seq), arm.name)
-					continue
-				}
-				for i := range colSeq {
-					if colSeq[i] != arm.seq[i] {
-						t.Errorf("%s (%v): placement %d diverges: columnar %+v, %s %+v",
-							tr.Name, pol, i, colSeq[i], arm.name, arm.seq[i])
-						break
-					}
-				}
-			}
-			totalPlaced += colRes.Placed
-			totalRejected += colRes.Rejected
-		}
-	}
-	if totalPlaced == 0 || totalRejected == 0 {
-		t.Fatalf("layout differential is degenerate: %d placed, %d rejected", totalPlaced, totalRejected)
-	}
-}
-
-// TestDifferentialShardedMulti proves the pool-sharded pipeline
-// replays identically to the sequential multi-pool simulator across
-// the production suite, every policy, and several shard counts
-// (including over-provisioned ones that clamp).
-func TestDifferentialShardedMulti(t *testing.T) {
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		traces = traces[:4]
-	}
-	decide := func(vm trace.VM) MultiDecision {
-		switch vm.ID % 4 {
-		case 0:
-			return MultiDecision{Scales: []float64{1.2, 0, 1}}
-		case 1:
-			return MultiDecision{Scales: []float64{0, 1, 0}}
-		case 2:
-			return MultiDecision{Scales: []float64{1, 1.5, 1.1}}
-		}
-		return MultiDecision{}
-	}
-	sameMulti := func(a, b MultiResult) bool {
-		if a.Placed != b.Placed || a.Rejected != b.Rejected || a.Snapshots != b.Snapshots ||
-			!sameClassStats(a.Base, b.Base) || len(a.Green) != len(b.Green) {
-			return false
-		}
-		for i := range a.Green {
-			if !sameClassStats(a.Green[i], b.Green[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		mc := MultiConfig{
-			Base:           Pool{Class: baseClass(), N: 30},
-			Greens:         []Pool{{Class: greenClass(), N: 16}, {Class: baseClass(), N: 8}, {Class: greenClass(), N: 8}},
-			Policy:         pol,
-			PreferNonEmpty: pol != FirstFit,
-		}
-		for _, tr := range traces {
-			want, err := SimulateMulti(tr, mc, decide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{2, 3, 4, 64} {
-				sharded := mc
-				sharded.Shards = shards
-				got, err := SimulateMulti(tr, sharded, decide)
-				if err != nil {
-					t.Fatalf("%s (%v, shards=%d): %v", tr.Name, pol, shards, err)
-				}
-				if !sameMulti(got, want) {
-					t.Fatalf("%s (%v, shards=%d): sharded result %+v != sequential %+v",
-						tr.Name, pol, shards, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedMultiCancellation: a cancelled context must unwind every
-// pipeline stage, not deadlock the pipes.
-func TestShardedMultiCancellation(t *testing.T) {
-	tr, err := trace.Generate(trace.DefaultParams("shard-cancel", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := MultiConfig{
-		Base:   Pool{Class: baseClass(), N: 20},
-		Greens: []Pool{{Class: greenClass(), N: 10}, {Class: baseClass(), N: 10}},
-		Shards: 3,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := SimulateMultiContext(ctx, tr, mc, nil); err == nil {
-		t.Fatal("cancelled sharded replay returned no error")
-	}
-}
 
 // TestDifferentialSnapshotResume: for every production trace and
 // policy, pausing the columnar replay at its midpoint through
@@ -218,8 +69,8 @@ func TestDifferentialSnapshotResume(t *testing.T) {
 // placement sequence across the seam.
 func resumedRun(tr trace.Trace, cfg Config, cut int) (Result, []placeRec, error) {
 	var seq []placeRec
-	testObserve = func(vmID int, green bool, serverID int32) {
-		seq = append(seq, placeRec{vmID, green, serverID})
+	testObserve = func(vmID int, pool int, serverID int32) {
+		seq = append(seq, placeRec{vmID, pool, serverID})
 	}
 	defer func() { testObserve = nil }()
 

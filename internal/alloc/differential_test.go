@@ -1,15 +1,17 @@
 package alloc
 
-// Differential equivalence suite: the placement index (index.go) must
-// be decision-identical to the reference linear scan. These tests run
-// the full 35-trace production suite under every policy with
-// PreferNonEmpty on and off, once through each allocator, and demand
+// The differential wall: the columnar engine must be decision-identical
+// to the linear-scan oracle. Both tests replay the full 35-trace
+// production suite under every policy with PreferNonEmpty on and off —
+// once through the single-green Config path sizing uses, and once
+// through the multi-pool path with 1, 2 and 3 green pools — and demand
 // bit-identical Results and identical per-VM placement sequences. The
 // package's TestMain wraps everything in audit.SweepMain, so every
-// indexed pick here is additionally cross-checked against the scan by
-// the audit layer (alloc/index-divergence) as it happens.
+// indexed pick here is additionally cross-checked against the columnar
+// scan by the audit layer (alloc/index-divergence) as it happens.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,25 +30,35 @@ func diffDecider(vm trace.VM) Decision {
 
 // placeRec is one observed placement, captured via testObserve.
 type placeRec struct {
-	vmID  int
-	green bool
-	srv   int32
+	vmID int
+	pool int
+	srv  int32
 }
 
-// runObserved simulates one trace and returns the Result plus the
-// exact placement sequence.
-func runObserved(t *testing.T, tr trace.Trace, cfg Config) (Result, []placeRec) {
+// observed runs one replay and returns the exact placement sequence it
+// made.
+func observed(t *testing.T, run func() error) []placeRec {
 	t.Helper()
 	var seq []placeRec
-	testObserve = func(vmID int, green bool, serverID int32) {
-		seq = append(seq, placeRec{vmID, green, serverID})
+	testObserve = func(vmID int, pool int, serverID int32) {
+		seq = append(seq, placeRec{vmID, pool, serverID})
 	}
 	defer func() { testObserve = nil }()
-	res, err := Simulate(tr, cfg, diffDecider)
-	if err != nil {
-		t.Fatalf("%s (%v, preferNonEmpty=%v, refScan=%v): %v",
-			tr.Name, cfg.Policy, cfg.PreferNonEmpty, cfg.ReferenceScan, err)
+	if err := run(); err != nil {
+		t.Fatal(err)
 	}
+	return seq
+}
+
+// runObserved replays tr through the columnar engine and returns the
+// Result plus the placement sequence.
+func runObserved(t *testing.T, tr trace.Trace, cfg Config) (Result, []placeRec) {
+	t.Helper()
+	var res Result
+	seq := observed(t, func() (err error) {
+		res, err = Simulate(tr, cfg, diffDecider)
+		return err
+	})
 	return res, seq
 }
 
@@ -72,56 +84,92 @@ func sameResult(a, b Result) bool {
 		sameClassStats(a.Base, b.Base) && sameClassStats(a.Green, b.Green)
 }
 
-// TestDifferentialIndexedVsScan35Traces replays the whole production
-// suite under all 3 policies x PreferNonEmpty on/off, through the
-// indexed and reference allocators, and asserts byte-identical Results
-// and identical placement sequences. The cluster is sized so every
-// trace produces both placements and rejections.
-func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 35-trace differential sweep")
+func sameMulti(a, b MultiResult) bool {
+	if a.Placed != b.Placed || a.Rejected != b.Rejected || a.Snapshots != b.Snapshots ||
+		!sameClassStats(a.Base, b.Base) || len(a.Green) != len(b.Green) {
+		return false
 	}
+	for i := range a.Green {
+		if !sameClassStats(a.Green[i], b.Green[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSeq reports the first placement where two sequences diverge, or
+// -1 when they are identical.
+func sameSeq(a, b []placeRec) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// diffCase is one cell of the wall: a policy and PreferNonEmpty
+// setting under which every production trace is replayed.
+type diffCase struct {
+	pol    Policy
+	prefer bool
+}
+
+// diffCases enumerates all 3 policies x PreferNonEmpty on/off.
+func diffCases() []diffCase {
+	var out []diffCase
+	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
+		for _, prefer := range []bool{false, true} {
+			out = append(out, diffCase{pol, prefer})
+		}
+	}
+	return out
+}
+
+func productionSuite(t *testing.T) []trace.Trace {
+	t.Helper()
 	traces, err := trace.ProductionSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies := []Policy{BestFit, FirstFit, WorstFit}
-	totalPlaced, totalRejected := 0, 0
-	for _, pol := range policies {
-		for _, prefer := range []bool{false, true} {
-			cfg := Config{
-				Base:           baseClass(),
-				NBase:          40,
-				Green:          greenClass(),
-				NGreen:         40,
-				Policy:         pol,
-				PreferNonEmpty: prefer,
-			}
-			for _, tr := range traces {
-				ref := cfg
-				ref.ReferenceScan = true
-				wantRes, wantSeq := runObserved(t, tr, ref)
-				gotRes, gotSeq := runObserved(t, tr, cfg)
+	if testing.Short() {
+		traces = traces[:4]
+	}
+	return traces
+}
 
-				if !sameResult(gotRes, wantRes) {
-					t.Errorf("%s (%v, preferNonEmpty=%v): indexed Result %+v != reference %+v",
-						tr.Name, pol, prefer, gotRes, wantRes)
-				}
-				if len(gotSeq) != len(wantSeq) {
-					t.Errorf("%s (%v, preferNonEmpty=%v): %d indexed placements vs %d reference",
-						tr.Name, pol, prefer, len(gotSeq), len(wantSeq))
-					continue
-				}
-				for i := range gotSeq {
-					if gotSeq[i] != wantSeq[i] {
-						t.Errorf("%s (%v, preferNonEmpty=%v): placement %d diverges: indexed %+v, reference %+v",
-							tr.Name, pol, prefer, i, gotSeq[i], wantSeq[i])
-						break
-					}
-				}
-				totalPlaced += gotRes.Placed
-				totalRejected += gotRes.Rejected
+// TestDifferentialIndexedVsScan35Traces proves the Config path — the
+// one cluster sizing runs — against the oracle. The cluster is sized so
+// every trace produces both placements and rejections.
+func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
+	traces := productionSuite(t)
+	totalPlaced, totalRejected := 0, 0
+	for _, c := range diffCases() {
+		cfg := Config{
+			Base: baseClass(), NBase: 40,
+			Green: greenClass(), NGreen: 40,
+			Policy: c.pol, PreferNonEmpty: c.prefer,
+		}
+		for _, tr := range traces {
+			gotRes, gotSeq := runObserved(t, tr, cfg)
+			var wantRes Result
+			wantSeq := observed(t, func() (err error) {
+				wantRes, err = SimulateOracle(context.Background(), tr, cfg, diffDecider)
+				return err
+			})
+			if !sameResult(gotRes, wantRes) {
+				t.Errorf("%s (%v, preferNonEmpty=%v): engine Result %+v != oracle %+v",
+					tr.Name, c.pol, c.prefer, gotRes, wantRes)
 			}
+			if i := sameSeq(gotSeq, wantSeq); i >= 0 {
+				t.Errorf("%s (%v, preferNonEmpty=%v): placement %d of %d/%d diverges from the oracle",
+					tr.Name, c.pol, c.prefer, i, len(gotSeq), len(wantSeq))
+			}
+			totalPlaced += gotRes.Placed
+			totalRejected += gotRes.Rejected
 		}
 	}
 	// The sweep must have exercised both outcomes, or the identity
@@ -131,61 +179,66 @@ func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
 	}
 }
 
-// TestDifferentialMultiPool covers the multi-pool simulator the same
-// way on a subset of the suite: its full-node rule (first empty server
-// regardless of capacity) and per-pool scaled directives go through
-// different index queries than the single-green path.
+// multiDiffPools is the green-pool lineup for K = 1, 2, 3: a pool of
+// the baseline class among the greens makes pools collide on free
+// capacities, and shrinking sizes force fall-through to later pools.
+func multiDiffPools(k int) []Pool {
+	all := []Pool{{Class: greenClass(), N: 16}, {Class: baseClass(), N: 8}, {Class: greenClass(), N: 8}}
+	return all[:k]
+}
+
+// multiDiffDirectives is a per-VM directive rotation over three pools:
+// forbidden pools, fractional scales, and a scale below 1 (clamped).
+var multiDiffDirectives = []MultiDecision{
+	{Scales: []float64{1.2, 0, 1}},
+	{Scales: []float64{0, 1, 0}},
+	{Scales: []float64{1, 1.5, 1.1}},
+	{Scales: []float64{0.5, 0, 2}},
+	{},
+}
+
+func multiDiffDecider(vm trace.VM) MultiDecision {
+	return multiDiffDirectives[vm.ID%len(multiDiffDirectives)]
+}
+
+// TestDifferentialMultiPool proves the multi-pool path against the
+// oracle with 1, 2 and 3 green pools: its full-node rule (first empty
+// server regardless of capacity) and per-pool scaled directives go
+// through different index queries than the single-green path.
 func TestDifferentialMultiPool(t *testing.T) {
-	traces, err := trace.ProductionSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		traces = traces[:3]
-	} else {
-		traces = traces[:8]
-	}
-	decide := func(vm trace.VM) MultiDecision {
-		switch vm.ID % 4 {
-		case 0:
-			return MultiDecision{Scales: []float64{1.2, 0}}
-		case 1:
-			return MultiDecision{Scales: []float64{0, 1}}
-		case 2:
-			return MultiDecision{Scales: []float64{1, 1.5}}
-		}
-		return MultiDecision{}
-	}
-	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
-		mc := MultiConfig{
-			Base:           Pool{Class: baseClass(), N: 30},
-			Greens:         []Pool{{Class: greenClass(), N: 20}, {Class: baseClass(), N: 10}},
-			Policy:         pol,
-			PreferNonEmpty: pol != FirstFit,
-		}
-		for _, tr := range traces {
-			ref := mc
-			ref.ReferenceScan = true
-			want, err := SimulateMulti(tr, ref, decide)
-			if err != nil {
-				t.Fatal(err)
+	traces := productionSuite(t)
+	totalPlaced, totalRejected := 0, 0
+	for k := 1; k <= 3; k++ {
+		for _, c := range diffCases() {
+			mc := MultiConfig{
+				Base:   Pool{Class: baseClass(), N: 30},
+				Greens: multiDiffPools(k),
+				Policy: c.pol, PreferNonEmpty: c.prefer,
 			}
-			got, err := SimulateMulti(tr, mc, decide)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Placed != want.Placed || got.Rejected != want.Rejected ||
-				got.Snapshots != want.Snapshots ||
-				!sameClassStats(got.Base, want.Base) ||
-				len(got.Green) != len(want.Green) {
-				t.Fatalf("%s (%v): indexed multi result %+v != reference %+v", tr.Name, pol, got, want)
-			}
-			for i := range got.Green {
-				if !sameClassStats(got.Green[i], want.Green[i]) {
-					t.Fatalf("%s (%v): green pool %d stats diverge: %+v vs %+v",
-						tr.Name, pol, i, got.Green[i], want.Green[i])
+			for _, tr := range traces {
+				var got, want MultiResult
+				gotSeq := observed(t, func() (err error) {
+					got, err = SimulateMulti(tr, mc, multiDiffDecider)
+					return err
+				})
+				wantSeq := observed(t, func() (err error) {
+					want, err = simulateOracleMulti(context.Background(), tr, mc, multiDiffDecider)
+					return err
+				})
+				if !sameMulti(got, want) {
+					t.Errorf("%s (%d greens, %v, preferNonEmpty=%v): engine %+v != oracle %+v",
+						tr.Name, k, c.pol, c.prefer, got, want)
 				}
+				if i := sameSeq(gotSeq, wantSeq); i >= 0 {
+					t.Errorf("%s (%d greens, %v, preferNonEmpty=%v): placement %d of %d/%d diverges from the oracle",
+						tr.Name, k, c.pol, c.prefer, i, len(gotSeq), len(wantSeq))
+				}
+				totalPlaced += got.Placed
+				totalRejected += got.Rejected
 			}
 		}
+	}
+	if totalPlaced == 0 || totalRejected == 0 {
+		t.Fatalf("multi-pool differential is degenerate: %d placed, %d rejected", totalPlaced, totalRejected)
 	}
 }

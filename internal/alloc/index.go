@@ -1,8 +1,8 @@
 package alloc
 
-// The placement index: the allocation simulator's fast path. The
-// reference allocator (pick in alloc.go) scans every server of a pool
-// per placement, making a sweep O(VMs x servers); production
+// The placement index: the columnar engine's O(log S) answer to the
+// oracle's scan. The oracle (pick in oracle.go) scans every server of a
+// pool per placement, making a sweep O(VMs x servers); production
 // allocators index their candidate sets instead (Protean). This index
 // answers every policy query in O(log S) and absorbs a place or
 // release in O(log S), while remaining decision-identical to the scan
@@ -26,14 +26,12 @@ package alloc
 //     the leftmost feasible leaf; full-node placement is the leftmost
 //     feasible (or, for multi-pool, leftmost unconditional) empty leaf.
 //
-// The index is split in two layers. ixCore is the pure structure: it
-// knows servers only as ids with (coresFree, memFree, occupancy)
-// keys, so both server representations share it — poolIndex wraps it
-// over the materialized *server structs, and the columnar fleet
-// (colsim.go) attaches ids straight from its parallel arrays, growing
-// the core as its touched frontier advances. Every structure is
-// backed by slices; steady-state operations perform zero heap
-// allocations (pinned by TestIndexedPickZeroAllocs).
+// ixCore knows servers only as ids with (coresFree, memFree,
+// occupancy) keys: the columnar fleet (colsim.go) attaches ids straight
+// from its parallel arrays, growing the core as its touched frontier
+// advances. Every structure is backed by slices; steady-state
+// operations perform zero heap allocations (pinned by
+// TestIndexedPickZeroAllocs).
 
 import (
 	"math"
@@ -144,30 +142,6 @@ func (ix *ixCore) grow(n int32) {
 		ix.seg[i] = combineSeg(&ix.seg[2*i], &ix.seg[2*i+1])
 	}
 	ix.segSize = newSize
-}
-
-// poolIndex wraps an ixCore over a materialized server pool: the
-// original struct-of-pointers representation used by the reference
-// layout and the multi-pool simulator.
-type poolIndex struct {
-	ixCore
-	servers []*server
-}
-
-// newPoolIndex builds the index over a pool and wires each server to
-// it. Returns nil for an empty pool.
-func newPoolIndex(servers []*server) *poolIndex {
-	n := len(servers)
-	if n == 0 {
-		return nil
-	}
-	ix := &poolIndex{servers: servers}
-	ix.initCore(n)
-	for _, s := range servers {
-		s.ix = ix
-		ix.attach(s)
-	}
-	return ix
 }
 
 // keyLess orders nodes by (cores, mem, id) ascending — exactly the
@@ -294,12 +268,6 @@ func (ix *ixCore) attachID(n int32, cores, mem float64, ne bool) {
 	}
 	ix.segSet(n, cores, mem, ne)
 }
-
-// detach removes a server from the index ahead of a mutation of its
-// free capacity or occupancy; attach re-inserts it afterwards.
-func (ix *poolIndex) detach(s *server) { ix.detachID(s.id) }
-
-func (ix *poolIndex) attach(s *server) { ix.attachID(s.id, s.coresFree, s.memFree, s.vms > 0) }
 
 // segSet rewrites an id's segment-tree leaf and bubbles the change to
 // the root.
@@ -477,7 +445,7 @@ func (ix *ixCore) pickClass(cores, mem float64, pol Policy, nonEmpty bool) int32
 }
 
 // pickNode selects the feasible id under the configured policy,
-// decision-identically to the reference scan over the attached ids.
+// decision-identically to the oracle's scan over the attached ids.
 func (ix *ixCore) pickNode(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
 	if preferNonEmpty {
 		if n := ix.pickClass(cores, mem, pol, true); n != nilNode {
@@ -509,33 +477,6 @@ func (ix *ixCore) firstEmptyFittingNode(cores, mem float64) int32 {
 		return nilNode
 	}
 	return ix.segFirst(1, cores, mem, false, true)
-}
-
-// pick selects a feasible server under the configured policy,
-// decision-identically to the reference scan.
-func (ix *poolIndex) pick(cores, mem float64, pol Policy, preferNonEmpty bool) *server {
-	if n := ix.pickNode(cores, mem, pol, preferNonEmpty); n != nilNode {
-		return ix.servers[n]
-	}
-	return nil
-}
-
-// firstEmptyFitting returns the lowest-indexed empty server that fits
-// (cores, mem), or nil — the single-pool full-node rule.
-func (ix *poolIndex) firstEmptyFitting(cores, mem float64) *server {
-	if n := ix.firstEmptyFittingNode(cores, mem); n != nilNode {
-		return ix.servers[n]
-	}
-	return nil
-}
-
-// firstEmpty returns the lowest-indexed empty server regardless of
-// capacity, or nil — the multi-pool full-node rule.
-func (ix *poolIndex) firstEmpty() *server {
-	if n := ix.segFirstEmpty(); n != nilNode {
-		return ix.servers[n]
-	}
-	return nil
 }
 
 // minKey combines per-class BestFit winners: smallest (cores, mem, id).
@@ -578,19 +519,6 @@ func (ix *ixCore) maxKeyFirstIdx(a, b int32) int32 {
 		return a
 	}
 	return b
-}
-
-// auditIntegrity walks the whole index and reports any structural
-// drift against the live servers to the audit layer. See
-// auditIntegrityCore for the checks.
-func (ix *poolIndex) auditIntegrity(chk audit.Checker, pool string) {
-	if chk == nil || ix == nil {
-		return
-	}
-	ix.auditIntegrityCore(chk, pool, int32(len(ix.servers)), func(id int32) (float64, float64, bool) {
-		s := ix.servers[id]
-		return s.coresFree, s.memFree, s.vms > 0
-	})
 }
 
 // auditIntegrityCore walks the whole index and reports any structural

@@ -1,11 +1,11 @@
 package alloc
 
-// Property tests for the placement index against two oracles: the
-// reference scan (pick equality on every query) and a naive recompute
-// of the index's own invariants (treap membership and ordering per
-// occupancy class, done by sorting the live servers). The fuzz harness
-// in index_fuzz_test.go drives the same checks from arbitrary byte
-// strings.
+// Property tests for the columnar fleet and its placement index against
+// two oracles: the linear scan (pick equality on every query) and a
+// naive recompute of the index's own invariants (treap membership and
+// ordering per occupancy class, done by sorting the touched servers).
+// The fuzz harness in index_fuzz_test.go drives the same checks from
+// arbitrary byte strings.
 
 import (
 	"sort"
@@ -29,8 +29,40 @@ var (
 	opMem   = []float64{4, 8, 8.8, 16, 24}
 )
 
+// mirrorPool is a columnar fleet under test mirrored by the oracle's
+// server structs, mutated in lockstep.
+type mirrorPool struct {
+	f       fleet
+	servers []*server
+}
+
+func newMirrorPool(class ServerClass, n int) *mirrorPool {
+	p := &mirrorPool{f: newFleet(class, n)}
+	p.servers = makeServers(&p.f.class, n)
+	return p
+}
+
+// place commits a placement on server id through the fleet's
+// detach/mutate/attach protocol, exactly as the simulator does, and on
+// the mirror.
+func (p *mirrorPool) place(id int32, c, m float64) {
+	p.f.place(id, c, m, 0)
+	s := p.servers[id]
+	s.coresFree -= c
+	s.memFree -= m
+	s.vms++
+}
+
+func (p *mirrorPool) unplace(id int32, c, m float64) {
+	p.f.release(id, c, m, 0)
+	s := p.servers[id]
+	s.coresFree += c
+	s.memFree += m
+	s.vms--
+}
+
 // inOrder appends the subtree's node ids in key order.
-func inOrder(ix *poolIndex, n int32, out *[]int32) {
+func inOrder(ix *ixCore, n int32, out *[]int32) {
 	if n == nilNode {
 		return
 	}
@@ -39,33 +71,36 @@ func inOrder(ix *poolIndex, n int32, out *[]int32) {
 	inOrder(ix, ix.nodes[n].right, out)
 }
 
-// checkOracle rebuilds the index's claims naively from the servers —
-// which server belongs to which occupancy treap, and in what order —
-// and verifies them, then runs the full structural integrity walk.
-func checkOracle(t *testing.T, ix *poolIndex, servers []*server) {
+// checkOracle rebuilds the index's claims naively from the mirror —
+// which touched server belongs to which occupancy treap, and in what
+// order — and verifies them, then runs the full structural integrity
+// walk.
+func checkOracle(t *testing.T, p *mirrorPool) {
 	t.Helper()
+	f := &p.f
 	want := map[bool][]int32{}
-	for _, s := range servers {
-		want[s.vms > 0] = append(want[s.vms > 0], s.id)
+	for id := int32(0); id < f.frontier; id++ {
+		ne := p.servers[id].vms > 0
+		want[ne] = append(want[ne], id)
 	}
 	for _, ne := range []bool{true, false} {
 		ids := want[ne]
 		sort.Slice(ids, func(i, j int) bool {
-			a, b := servers[ids[i]], servers[ids[j]]
+			a, b := p.servers[ids[i]], p.servers[ids[j]]
 			if a.coresFree != b.coresFree {
 				return a.coresFree < b.coresFree
 			}
 			if a.memFree != b.memFree {
 				return a.memFree < b.memFree
 			}
-			return a.id < b.id
+			return ids[i] < ids[j]
 		})
-		root := ix.rootE
+		root := f.ix.rootE
 		if ne {
-			root = ix.rootNE
+			root = f.ix.rootNE
 		}
 		var got []int32
-		inOrder(ix, root, &got)
+		inOrder(&f.ix, root, &got)
 		if len(got) != len(ids) {
 			t.Fatalf("occupancy treap (ne=%v) holds %d servers, oracle says %d", ne, len(got), len(ids))
 		}
@@ -76,7 +111,7 @@ func checkOracle(t *testing.T, ix *poolIndex, servers []*server) {
 		}
 	}
 	rec := audit.NewRecorder()
-	ix.auditIntegrity(rec, "oracle")
+	f.ix.auditIntegrityCore(rec, "oracle", f.frontier, f.state)
 	if rec.Count() > 0 {
 		t.Fatalf("index integrity violations: %v", rec.Violations())
 	}
@@ -84,71 +119,49 @@ func checkOracle(t *testing.T, ix *poolIndex, servers []*server) {
 
 // comparePicks checks every query the simulator issues — all policies,
 // both PreferNonEmpty settings, and the two full-node variants —
-// against the reference scan, for one request.
-func comparePicks(t *testing.T, ix *poolIndex, servers []*server, c, m float64) {
+// against the oracle's scan, for one request.
+func comparePicks(t *testing.T, p *mirrorPool, c, m float64) {
 	t.Helper()
 	for _, pol := range []Policy{BestFit, FirstFit, WorstFit} {
 		for _, prefer := range []bool{false, true} {
-			cfg := Config{Policy: pol, PreferNonEmpty: prefer}
-			got := ix.pick(c, m, pol, prefer)
-			want := pick(servers, c, m, cfg)
-			if got != want {
-				t.Fatalf("pick(%g, %g, %v, preferNonEmpty=%v): index chose %d, scan chose %d",
-					c, m, pol, prefer, srvID(got), srvID(want))
+			got := p.f.pick(c, m, pol, prefer)
+			if want := pick(p.servers, c, m, pol, prefer); got != want {
+				t.Fatalf("pick(%g, %g, %v, preferNonEmpty=%v): fleet chose %d, scan chose %d",
+					c, m, pol, prefer, got, want)
 			}
 		}
 	}
-	var wantFit, wantAny *server
-	for _, s := range servers {
+	wantFit, wantAny := nilNode, nilNode
+	for id, s := range p.servers {
 		if s.vms != 0 {
 			continue
 		}
-		if wantAny == nil {
-			wantAny = s
+		if wantAny == nilNode {
+			wantAny = int32(id)
 		}
-		if wantFit == nil && s.fits(c, m) {
-			wantFit = s
+		if wantFit == nilNode && s.fits(c, m) {
+			wantFit = int32(id)
 		}
 	}
-	if got := ix.firstEmptyFitting(c, m); got != wantFit {
-		t.Fatalf("firstEmptyFitting(%g, %g): index chose %d, scan chose %d", c, m, srvID(got), srvID(wantFit))
+	if got := p.f.firstEmptyFitting(c, m); got != wantFit {
+		t.Fatalf("firstEmptyFitting(%g, %g): fleet chose %d, scan chose %d", c, m, got, wantFit)
 	}
-	if got := ix.firstEmpty(); got != wantAny {
-		t.Fatalf("firstEmpty: index chose %d, scan chose %d", srvID(got), srvID(wantAny))
+	if got := p.f.firstEmpty(); got != wantAny {
+		t.Fatalf("firstEmpty: fleet chose %d, scan chose %d", got, wantAny)
 	}
-}
-
-// place commits a placement on s through the detach/mutate/attach
-// protocol, exactly as the simulator does.
-func place(s *server, c, m float64) {
-	s.ix.detach(s)
-	s.coresFree -= c
-	s.memFree -= m
-	s.vms++
-	s.ix.attach(s)
-}
-
-func unplace(s *server, c, m float64) {
-	s.ix.detach(s)
-	s.coresFree += c
-	s.memFree += m
-	s.vms--
-	s.ix.attach(s)
 }
 
 // TestIndexMatchesOracleRandomOps drives random place/release
-// sequences and checks every index query against the scan after each
+// sequences and checks every fleet query against the scan after each
 // mutation, with periodic full-structure oracle checks.
 func TestIndexMatchesOracleRandomOps(t *testing.T) {
 	type placement struct {
-		s    *server
+		id   int32
 		c, m float64
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		r := stats.NewRNG(seed * 7919)
-		class := indexClass()
-		servers := makeServers(&class, 11)
-		ix := newPoolIndex(servers)
+		p := newMirrorPool(indexClass(), 11)
 		var live []placement
 		steps := 600
 		if testing.Short() {
@@ -157,28 +170,27 @@ func TestIndexMatchesOracleRandomOps(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			if len(live) > 0 && r.Float64() < 0.45 {
 				k := r.Intn(len(live))
-				p := live[k]
-				unplace(p.s, p.c, p.m)
+				pl := live[k]
+				p.unplace(pl.id, pl.c, pl.m)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
 				c := opCores[r.Intn(len(opCores))]
 				m := opMem[r.Intn(len(opMem))]
 				pol := Policy(r.Intn(3))
-				s := ix.pick(c, m, pol, r.Intn(2) == 0)
-				if s != nil {
-					place(s, c, m)
-					live = append(live, placement{s, c, m})
+				if id := p.f.pick(c, m, pol, r.Intn(2) == 0); id != nilNode {
+					p.place(id, c, m)
+					live = append(live, placement{id, c, m})
 				}
 			}
-			comparePicks(t, ix, servers, opCores[step%len(opCores)], opMem[step%len(opMem)])
+			comparePicks(t, p, opCores[step%len(opCores)], opMem[step%len(opMem)])
 			if step%40 == 0 {
-				comparePicks(t, ix, servers, 0, 0)
-				comparePicks(t, ix, servers, 1e9, 1e9)
-				checkOracle(t, ix, servers)
+				comparePicks(t, p, 0, 0)
+				comparePicks(t, p, 1e9, 1e9)
+				checkOracle(t, p)
 			}
 		}
-		checkOracle(t, ix, servers)
+		checkOracle(t, p)
 	}
 }
 
@@ -187,41 +199,41 @@ func TestIndexMatchesOracleRandomOps(t *testing.T) {
 // as an integrity violation (stale key) and as a pick divergence.
 func TestAuditCatchesCorruptedIndex(t *testing.T) {
 	class := ServerClass{Name: "corrupt", Cores: 10, Memory: 100, LocalMemory: 100}
-	servers := makeServers(&class, 2)
-	ix := newPoolIndex(servers)
-	place(servers[0], 4, 40)
+	s := newSim("canary", Config{Base: class, NBase: 2}, nil)
+	s.pools[0].place(0, 4, 40, 0)
+	s.pools[0].place(1, 1, 10, 0)
 
 	// Bypass the index: server 0 now has 1 core free, but the index
 	// still believes 6.
-	servers[0].coresFree -= 5
+	f := &s.pools[0]
+	f.coresFree[0] -= 5
 
 	rec := audit.NewRecorder()
-	ix.auditIntegrity(rec, "canary")
+	f.ix.auditIntegrityCore(rec, "canary", f.frontier, f.state)
 	if rec.Counts()["alloc/index-integrity"] == 0 {
 		t.Fatalf("stale index key not caught: %v", rec.Counts())
 	}
 
 	rec = audit.NewRecorder()
-	cfg := Config{Policy: BestFit}
-	got := pickFrom(rec, ix, servers, 6, 10, cfg)
+	s.chk = rec
+	got := s.pickFrom(f, 6, 10)
 	if rec.Counts()["alloc/index-divergence"] == 0 {
-		t.Fatalf("index/scan divergence not caught (picked %d): %v", srvID(got), rec.Counts())
+		t.Fatalf("index/scan divergence not caught (picked %d): %v", got, rec.Counts())
 	}
 }
 
-// TestIndexEmptyAndSinglePools covers the degenerate pool sizes the
-// simulator hands the index builder.
+// TestIndexEmptyAndSinglePools covers the degenerate pool sizes a
+// cluster can hand the fleet.
 func TestIndexEmptyAndSinglePools(t *testing.T) {
-	if ix := newPoolIndex(nil); ix != nil {
-		t.Fatal("empty pool should have no index")
-	}
-	class := indexClass()
-	servers := makeServers(&class, 1)
-	ix := newPoolIndex(servers)
-	comparePicks(t, ix, servers, 2, 8)
-	place(servers[0], 2, 8)
-	comparePicks(t, ix, servers, 2, 8)
-	comparePicks(t, ix, servers, 8, 64)
-	unplace(servers[0], 2, 8)
-	checkOracle(t, ix, servers)
+	empty := newMirrorPool(indexClass(), 0)
+	comparePicks(t, empty, 2, 8)
+	comparePicks(t, empty, 0, 0)
+
+	p := newMirrorPool(indexClass(), 1)
+	comparePicks(t, p, 2, 8)
+	p.place(0, 2, 8)
+	comparePicks(t, p, 2, 8)
+	comparePicks(t, p, 8, 64)
+	p.unplace(0, 2, 8)
+	checkOracle(t, p)
 }

@@ -4,7 +4,8 @@ package alloc
 // additional SKU type in a fleet has side effects, but a second
 // GreenSKU could serve applications the first cannot. SimulateMulti
 // generalises Simulate to a baseline pool plus any number of GreenSKU
-// pools, with per-VM, per-pool directives.
+// pools, with per-VM, per-pool directives. It runs on the same columnar
+// engine as Simulate (colsim.go), with K green pools.
 
 import (
 	"context"
@@ -39,17 +40,6 @@ type MultiConfig struct {
 	// SnapshotEvery controls utilisation snapshots (trace hours);
 	// zero defaults to 12h.
 	SnapshotEvery float64
-	// ReferenceScan selects the O(S) linear-scan reference allocator
-	// instead of the placement index, as in Config.ReferenceScan.
-	ReferenceScan bool
-	// Shards > 1 runs the replay as a pool-sharded pipeline (shard.go):
-	// the ordered pool list (greens, then baseline) is split across up
-	// to Shards concurrent stages, each VM flowing through the stages
-	// it is offered to. Results are identical to the sequential replay
-	// bit for bit — pools see the same offered streams either way; the
-	// differential suite proves it. 0 or 1 replays sequentially;
-	// values past the pool count are clamped.
-	Shards int
 }
 
 // MultiResult holds per-pool statistics.
@@ -69,172 +59,62 @@ func SimulateMulti(tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiRe
 	return SimulateMultiContext(context.Background(), tr, mc, decide)
 }
 
+// validateMulti applies SimulateMultiContext's cluster checks.
+func validateMulti(mc MultiConfig) error {
+	total := mc.Base.N
+	for _, g := range mc.Greens {
+		total += g.N
+		if g.N > 0 && (g.Class.Cores <= 0 || g.Class.Memory <= 0) {
+			return fmt.Errorf("alloc: green pool %s has no capacity", g.Class.Name)
+		}
+	}
+	if total == 0 {
+		return fmt.Errorf("alloc: cluster needs at least one server")
+	}
+	if mc.Base.N > 0 && (mc.Base.Class.Cores <= 0 || mc.Base.Class.Memory <= 0) {
+		return fmt.Errorf("alloc: baseline pool has no capacity")
+	}
+	return nil
+}
+
 // SimulateMultiContext is SimulateMulti with cancellation, polled every
-// 1024 VMs like SimulateContext.
+// 1024 VMs like SimulateContext. Invariant violations go to the process
+// default checker (audit.SetDefault).
 func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, decide MultiDecider) (MultiResult, error) {
 	if err := tr.Validate(); err != nil {
 		return MultiResult{}, err
 	}
-	base, greens := mc.Base, mc.Greens
-	total := base.N
-	for _, g := range greens {
-		total += g.N
-		if g.N > 0 && (g.Class.Cores <= 0 || g.Class.Memory <= 0) {
-			return MultiResult{}, fmt.Errorf("alloc: green pool %s has no capacity", g.Class.Name)
-		}
-	}
-	if total == 0 {
-		return MultiResult{}, fmt.Errorf("alloc: cluster needs at least one server")
-	}
-	if base.N > 0 && (base.Class.Cores <= 0 || base.Class.Memory <= 0) {
-		return MultiResult{}, fmt.Errorf("alloc: baseline pool has no capacity")
+	if err := validateMulti(mc); err != nil {
+		return MultiResult{}, err
 	}
 	if decide == nil {
 		decide = func(trace.VM) MultiDecision { return MultiDecision{} }
 	}
-	if stages := min(mc.Shards, len(greens)+1); stages > 1 {
-		return simulateMultiSharded(ctx, tr, mc, decide, stages)
+	s := newSim(tr.Name, multiBaseConfig(mc), mc.Greens)
+	s.decideMulti = decide
+	res, err := s.run(ctx, trace.NewSliceSource(tr))
+	if err != nil {
+		return MultiResult{}, err
 	}
-	cfg := Config{Policy: mc.Policy, PreferNonEmpty: mc.PreferNonEmpty}
-	snapEvery := mc.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = 12
+	out := MultiResult{
+		Placed:    res.Placed,
+		Rejected:  res.Rejected,
+		Base:      res.Base,
+		Green:     make([]ClassStats, len(mc.Greens)),
+		Snapshots: res.Snapshots,
 	}
+	for i := range out.Green {
+		out.Green[i] = s.aggs[1+i].stats()
+	}
+	return out, nil
+}
 
-	baseSrvs := makeServers(&base.Class, base.N)
-	greenSrvs := make([][]*server, len(greens))
-	for i := range greens {
-		cls := greens[i].Class
-		greenSrvs[i] = makeServers(&cls, greens[i].N)
+// multiBaseConfig carries a MultiConfig's baseline pool and rules in
+// the Config shape both engines take.
+func multiBaseConfig(mc MultiConfig) Config {
+	return Config{
+		Base: mc.Base.Class, NBase: mc.Base.N,
+		Policy: mc.Policy, PreferNonEmpty: mc.PreferNonEmpty,
+		SnapshotEvery: mc.SnapshotEvery,
 	}
-
-	var baseIx *poolIndex
-	greenIxs := make([]*poolIndex, len(greens))
-	if !mc.ReferenceScan && !testIgnoreCapacity {
-		baseIx = newPoolIndex(baseSrvs)
-		for i := range greens {
-			greenIxs[i] = newPoolIndex(greenSrvs[i])
-		}
-	}
-
-	var deps depHeap
-	var res MultiResult
-	baseAgg := newAggregator()
-	greenAggs := make([]*aggregator, len(greens))
-	for i := range greenAggs {
-		greenAggs[i] = newAggregator()
-	}
-	nextSnap := snapEvery
-
-	release := func(until float64) {
-		for len(deps) > 0 && deps[0].at <= until {
-			d := depPop(&deps)
-			s := d.srv
-			if s.ix != nil {
-				s.ix.detach(s)
-			}
-			s.coresFree += d.cores
-			s.memFree += d.mem
-			s.vms--
-			s.maxMemTouched -= d.touched
-			if s.ix != nil {
-				s.ix.attach(s)
-			}
-		}
-	}
-	observe := func() {
-		baseAgg.observe(baseSrvs)
-		for i := range greens {
-			greenAggs[i].observe(greenSrvs[i])
-		}
-		res.Snapshots++
-	}
-
-	for i, vm := range tr.VMs {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return MultiResult{}, err
-			}
-		}
-		for nextSnap <= vm.Arrive {
-			release(nextSnap)
-			observe()
-			nextSnap += snapEvery
-		}
-		release(vm.Arrive)
-
-		var placedSrv *server
-		var cores, mem float64
-		if vm.FullNode {
-			// The multi-pool full-node rule takes the first empty
-			// baseline server unconditionally (no capacity check).
-			if baseIx != nil {
-				placedSrv = baseIx.firstEmpty()
-			} else {
-				for _, s := range baseSrvs {
-					if s.vms == 0 {
-						placedSrv = s
-						break
-					}
-				}
-			}
-			if placedSrv != nil {
-				cores = float64(placedSrv.class.Cores)
-				mem = float64(placedSrv.class.Memory)
-			}
-		} else {
-			d := decide(vm)
-			for i := range greens {
-				if i >= len(d.Scales) || d.Scales[i] <= 0 {
-					continue
-				}
-				scale := d.Scales[i]
-				if scale < 1 {
-					scale = 1
-				}
-				cores = float64(vm.Cores) * scale
-				mem = float64(vm.Memory) * scale
-				placedSrv = pickFrom(nil, greenIxs[i], greenSrvs[i], cores, mem, cfg)
-				if placedSrv != nil {
-					break
-				}
-			}
-			if placedSrv == nil {
-				cores = float64(vm.Cores)
-				mem = float64(vm.Memory)
-				placedSrv = pickFrom(nil, baseIx, baseSrvs, cores, mem, cfg)
-			}
-		}
-		if placedSrv == nil {
-			res.Rejected++
-			continue
-		}
-		touched := mem * vm.MaxMemFrac
-		if placedSrv.ix != nil {
-			placedSrv.ix.detach(placedSrv)
-		}
-		placedSrv.coresFree -= cores
-		placedSrv.memFree -= mem
-		placedSrv.vms++
-		placedSrv.maxMemTouched += touched
-		if placedSrv.ix != nil {
-			placedSrv.ix.attach(placedSrv)
-		}
-		depPush(&deps, departure{at: vm.Depart, srv: placedSrv, cores: cores, mem: mem, touched: touched})
-		res.Placed++
-	}
-	for nextSnap <= tr.Horizon {
-		release(nextSnap)
-		observe()
-		nextSnap += snapEvery
-	}
-	release(tr.Horizon)
-	observe()
-
-	res.Base = baseAgg.stats()
-	res.Green = make([]ClassStats, len(greens))
-	for i := range greens {
-		res.Green[i] = greenAggs[i].stats()
-	}
-	return res, nil
 }

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -122,5 +124,23 @@ func TestMultiValidation(t *testing.T) {
 	bad := []Pool{{Class: ServerClass{Name: "x"}, N: 3}}
 	if _, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: bad}, nil); err == nil {
 		t.Error("accepted a zero-capacity green pool")
+	}
+}
+
+// TestMultiCancellation: a cancelled context stops a multi-pool replay
+// with the context's error.
+func TestMultiCancellation(t *testing.T) {
+	tr, err := trace.Generate(trace.DefaultParams("multi-cancel", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := MultiConfig{
+		Base:   Pool{Class: baseClass(), N: 20},
+		Greens: []Pool{{Class: greenClass(), N: 10}, {Class: baseClass(), N: 10}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SimulateMultiContext(ctx, tr, mc, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled multi-pool replay returned %v, want context.Canceled", err)
 	}
 }

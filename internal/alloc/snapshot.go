@@ -37,9 +37,13 @@ const (
 	snapMagic   = "GSFS"
 	snapVersion = 1
 	// maxSnapName caps decoded string lengths. Slice lengths are
-	// bounded by the declared pool sizes and the payload length, so a
-	// corrupted count cannot demand an absurd allocation.
+	// bounded by the payload bytes actually present, so a corrupted
+	// count cannot demand an absurd allocation.
 	maxSnapName = 1 << 12
+	// Minimum encoded sizes of the repeated records, which bound the
+	// counts a payload of a given length can honestly declare.
+	minServerBytes    = 8 + 8 + 1 + 8
+	minDepartureBytes = 4*8 + 1 + 1
 )
 
 type snapWriter struct {
@@ -122,10 +126,10 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	p.uvarint(uint64(s.res.DeferrableRejected))
 	p.uvarint(uint64(s.res.Snapshots))
 
-	p.fleet(&s.base)
-	p.fleet(&s.green)
-	p.agg(&s.baseAgg)
-	p.agg(&s.greenAgg)
+	p.fleet(&s.pools[0])
+	p.fleet(&s.pools[1])
+	p.agg(&s.aggs[0])
+	p.agg(&s.aggs[1])
 
 	p.uvarint(uint64(len(s.deps)))
 	for i := range s.deps {
@@ -135,7 +139,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		p.f64(d.mem)
 		p.f64(d.touched)
 		p.uvarint(uint64(d.id))
-		p.bool(d.green)
+		p.bool(d.pool == 1)
 	}
 
 	payload := p.buf.Bytes()
@@ -180,6 +184,20 @@ func (r *snapReader) f64(what string) (float64, error) {
 	r.off += 8
 	return v, nil
 }
+
+// finite reads a float that live simulator state never holds as NaN
+// or ±Inf: the placement index orders servers by these values, and a
+// non-finite key would break its ordering.
+func (r *snapReader) finite(what string) (float64, error) {
+	v, err := r.f64(what)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, r.fail(what)
+	}
+	return v, err
+}
+
+// remaining reports how many payload bytes are left to decode.
+func (r *snapReader) remaining() uint64 { return uint64(len(r.b) - r.off) }
 
 func (r *snapReader) str(what string) (string, error) {
 	n, err := r.uvarint(what)
@@ -240,27 +258,30 @@ func (r *snapReader) fleet(f *fleet) error {
 	if frontier > uint64(f.n) {
 		return r.fail("frontier past pool size")
 	}
+	if frontier > r.remaining()/minServerBytes {
+		return r.fail("fleet frontier")
+	}
 	n := int32(frontier)
 	f.coresFree = make([]float64, n)
 	f.memFree = make([]float64, n)
 	f.vms = make([]int32, n)
 	f.touched = make([]float64, n)
 	for id := int32(0); id < n; id++ {
-		if f.coresFree[id], err = r.f64("server cores"); err != nil {
+		if f.coresFree[id], err = r.finite("server cores"); err != nil {
 			return err
 		}
-		if f.memFree[id], err = r.f64("server memory"); err != nil {
+		if f.memFree[id], err = r.finite("server memory"); err != nil {
 			return err
 		}
 		vms, err := r.uvarint("server vm count")
 		if err != nil {
 			return err
 		}
-		if vms > 1<<31 {
+		if vms > math.MaxInt32 {
 			return r.fail("server vm count")
 		}
 		f.vms[id] = int32(vms)
-		if f.touched[id], err = r.f64("server touched memory"); err != nil {
+		if f.touched[id], err = r.finite("server touched memory"); err != nil {
 			return err
 		}
 	}
@@ -346,16 +367,21 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		return nil, fmt.Errorf("alloc: reading snapshot checksum: %w", err)
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(rd, payload); err != nil {
+	// Read through a bound rather than allocating plen up front: the
+	// header is untrusted, so memory must track the bytes present.
+	payload, err := io.ReadAll(io.LimitReader(rd, int64(plen)))
+	if err != nil {
 		return nil, fmt.Errorf("alloc: reading snapshot payload: %w", err)
+	}
+	if uint64(len(payload)) != plen {
+		return nil, fmt.Errorf("alloc: reading snapshot payload: %w", io.ErrUnexpectedEOF)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, fmt.Errorf("alloc: snapshot checksum mismatch: payload %08x, header %08x", got, wantCRC)
 	}
 
 	r := &snapReader{b: payload}
-	s := &Sim{decide: decide, chk: audit.Resolve(chk)}
+	s := &Sim{router: router{decide: decide}, chk: audit.Resolve(chk)}
 	if s.decide == nil {
 		s.decide = AdoptNone
 	}
@@ -378,12 +404,16 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nBase > 1<<31 || nGreen > 1<<31 {
+	if nBase > math.MaxInt32 || nGreen > math.MaxInt32 {
 		return nil, r.fail("pool size")
 	}
 	s.cfg.NBase, s.cfg.NGreen = int(nBase), int(nGreen)
-	if s.snapEvery, err = r.f64("snapshot interval"); err != nil {
+	if s.snapEvery, err = r.finite("snapshot interval"); err != nil {
 		return nil, err
+	}
+	if !(s.snapEvery > 0) {
+		// Step's snapshot loop would never advance.
+		return nil, r.fail("snapshot interval")
 	}
 	s.cfg.SnapshotEvery = s.snapEvery
 	if err := r.class(&s.cfg.Base); err != nil {
@@ -391,6 +421,9 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 	}
 	if err := r.class(&s.cfg.Green); err != nil {
 		return nil, err
+	}
+	if validateConfig(s.cfg) != nil {
+		return nil, r.fail("pool configuration")
 	}
 
 	if s.lastArrive, err = r.f64("last arrival"); err != nil {
@@ -401,8 +434,14 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		return nil, err
 	}
 	s.events = int(events)
-	if s.nextSnap, err = r.f64("next snapshot time"); err != nil {
+	if s.nextSnap, err = r.finite("next snapshot time"); err != nil {
 		return nil, err
+	}
+	// A live simulator's next snapshot is at least one interval in,
+	// past the last arrival, and small enough that adding the interval
+	// still moves it — otherwise Step's snapshot loop would spin.
+	if s.nextSnap < s.snapEvery || !(s.nextSnap > s.lastArrive) || !(s.nextSnap+s.snapEvery > s.nextSnap) {
+		return nil, r.fail("next snapshot time")
 	}
 	for _, c := range []*int{&s.res.Placed, &s.res.Rejected, &s.res.DeferrablePlaced, &s.res.DeferrableRejected, &s.res.Snapshots} {
 		v, err := r.uvarint("result counter")
@@ -412,55 +451,53 @@ func Restore(rd io.Reader, decide Decider, chk audit.Checker) (*Sim, error) {
 		*c = int(v)
 	}
 
-	s.base = newFleet(s.cfg.Base, s.cfg.NBase)
-	s.green = newFleet(s.cfg.Green, s.cfg.NGreen)
-	if err := r.fleet(&s.base); err != nil {
-		return nil, err
+	s.pools = []fleet{newFleet(s.cfg.Base, s.cfg.NBase), newFleet(s.cfg.Green, s.cfg.NGreen)}
+	s.aggs = make([]aggregator, 2)
+	for i := range s.pools {
+		if err := r.fleet(&s.pools[i]); err != nil {
+			return nil, err
+		}
 	}
-	if err := r.fleet(&s.green); err != nil {
-		return nil, err
-	}
-	if err := r.agg(&s.baseAgg); err != nil {
-		return nil, err
-	}
-	if err := r.agg(&s.greenAgg); err != nil {
-		return nil, err
+	for i := range s.aggs {
+		if err := r.agg(&s.aggs[i]); err != nil {
+			return nil, err
+		}
 	}
 
 	nDeps, err := r.uvarint("departure count")
 	if err != nil {
 		return nil, err
 	}
-	if nDeps > uint64(len(payload)) { // each departure is >= 34 bytes
+	if nDeps > r.remaining()/minDepartureBytes {
 		return nil, r.fail("departure count")
 	}
 	s.deps = make(colDepHeap, nDeps)
 	for i := range s.deps {
 		d := &s.deps[i]
-		if d.at, err = r.f64("departure time"); err != nil {
+		if d.at, err = r.finite("departure time"); err != nil {
 			return nil, err
 		}
-		if d.cores, err = r.f64("departure cores"); err != nil {
+		if d.cores, err = r.finite("departure cores"); err != nil {
 			return nil, err
 		}
-		if d.mem, err = r.f64("departure memory"); err != nil {
+		if d.mem, err = r.finite("departure memory"); err != nil {
 			return nil, err
 		}
-		if d.touched, err = r.f64("departure touched memory"); err != nil {
+		if d.touched, err = r.finite("departure touched memory"); err != nil {
 			return nil, err
 		}
 		id, err := r.uvarint("departure server id")
 		if err != nil {
 			return nil, err
 		}
-		if d.green, err = r.bool("departure pool"); err != nil {
+		green, err := r.bool("departure pool")
+		if err != nil {
 			return nil, err
 		}
-		f := &s.base
-		if d.green {
-			f = &s.green
+		if green {
+			d.pool = 1
 		}
-		if id >= uint64(f.frontier) {
+		if id >= uint64(s.pools[d.pool].frontier) {
 			return nil, r.fail("departure names an untouched server")
 		}
 		d.id = int32(id)

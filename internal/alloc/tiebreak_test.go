@@ -1,10 +1,11 @@
 package alloc
 
 // Table tests for the policies' tie-breaking, run against both the
-// reference scan and the placement index. WorstFit historically broke
-// ties arbitrarily (first server scanned with the max free cores);
-// it now mirrors BestFit's two-level break symmetrically: most free
-// cores, then most free memory, then first index.
+// oracle's scan and the columnar fleet's placement index. WorstFit
+// historically broke ties arbitrarily (first server scanned with the
+// max free cores); it now mirrors BestFit's two-level break
+// symmetrically: most free cores, then most free memory, then first
+// index.
 
 import "testing"
 
@@ -98,18 +99,24 @@ func TestPolicyTieBreaking(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			class := ServerClass{Name: "tie", Cores: 8, Memory: 64, LocalMemory: 64}
 			servers := makeServers(&class, len(tc.srvs))
+			f := newFleet(class, len(tc.srvs))
+			f.ix.initCore(len(tc.srvs))
 			for i, st := range tc.srvs {
 				servers[i].coresFree = st.cores
 				servers[i].memFree = st.mem
 				servers[i].vms = st.vms
+				f.coresFree = append(f.coresFree, st.cores)
+				f.memFree = append(f.memFree, st.mem)
+				f.vms = append(f.vms, int32(st.vms))
+				f.touched = append(f.touched, 0)
+				f.ix.attachID(int32(i), st.cores, st.mem, st.vms > 0)
 			}
-			cfg := Config{Policy: tc.pol, PreferNonEmpty: tc.prefer}
-			if got := srvID(pick(servers, tc.c, tc.m, cfg)); got != tc.want {
-				t.Errorf("reference scan chose server %d, want %d", got, tc.want)
+			f.frontier = f.n
+			if got := pick(servers, tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
+				t.Errorf("oracle scan chose server %d, want %d", got, tc.want)
 			}
-			ix := newPoolIndex(servers)
-			if got := srvID(ix.pick(tc.c, tc.m, tc.pol, tc.prefer)); got != tc.want {
-				t.Errorf("index chose server %d, want %d", got, tc.want)
+			if got := f.pick(tc.c, tc.m, tc.pol, tc.prefer); got != tc.want {
+				t.Errorf("columnar fleet chose server %d, want %d", got, tc.want)
 			}
 		})
 	}

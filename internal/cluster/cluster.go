@@ -31,48 +31,10 @@ type Sizer struct {
 	// forwarded to every allocation simulation it runs. Nil falls back
 	// to the process default (audit.SetDefault).
 	Audit audit.Checker
-	// Shards > 1 replays simulations through the pool-sharded
-	// multi-pool pipeline (alloc.MultiConfig.Shards) with the green
-	// class as its single green pool. The one-pool multi replay is
-	// bit-identical to the single-pool simulator (the alloc
-	// differential suite proves it), so sharding never changes a
-	// sizing or packing answer. The sharded path reports violations to
-	// the process-default audit checker, not to Audit.
-	Shards int
 }
 
-// simulate replays the trace against nBase + nGreen servers, routing
-// through the sharded multi-pool pipeline when Shards asks for it.
+// simulate replays the trace against nBase + nGreen servers.
 func (s *Sizer) simulate(ctx context.Context, tr trace.Trace, nBase, nGreen int, decide alloc.Decider) (alloc.Result, error) {
-	if s.Shards > 1 {
-		if decide == nil {
-			decide = alloc.AdoptNone
-		}
-		mres, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
-			Base:           alloc.Pool{Class: s.Base, N: nBase},
-			Greens:         []alloc.Pool{{Class: s.Green, N: nGreen}},
-			Policy:         s.Policy,
-			PreferNonEmpty: true,
-			Shards:         s.Shards,
-		}, func(vm trace.VM) alloc.MultiDecision {
-			d := decide(vm)
-			scale := 0.0
-			if d.Adopt {
-				scale = d.Scale
-			}
-			return alloc.MultiDecision{Scales: []float64{scale}}
-		})
-		if err != nil {
-			return alloc.Result{}, err
-		}
-		return alloc.Result{
-			Placed:    mres.Placed,
-			Rejected:  mres.Rejected,
-			Base:      mres.Base,
-			Green:     mres.Green[0],
-			Snapshots: mres.Snapshots,
-		}, nil
-	}
 	return alloc.SimulateContext(ctx, tr, alloc.Config{
 		Base: s.Base, NBase: nBase,
 		Green: s.Green, NGreen: nGreen,

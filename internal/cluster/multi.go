@@ -21,10 +21,6 @@ type MultiSizer struct {
 	Decide alloc.MultiDecider
 	// MaxServers caps each pool's search.
 	MaxServers int
-	// Shards > 1 replays each sizing probe through the pool-sharded
-	// pipeline (alloc.MultiConfig.Shards). Results are bit-identical
-	// to the sequential replay, so sharding never changes a size.
-	Shards int
 }
 
 // MultiMix is a sized multi-SKU cluster.
@@ -57,7 +53,6 @@ func (s *MultiSizer) hosts(ctx context.Context, tr trace.Trace, nBase int, nGree
 		Greens:         pools,
 		Policy:         s.Policy,
 		PreferNonEmpty: true,
-		Shards:         s.Shards,
 	}, s.Decide)
 	if err != nil {
 		return false, err

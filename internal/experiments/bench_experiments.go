@@ -4,7 +4,7 @@ package experiments
 // ROADMAP's north star wants the hot paths to run as fast as the
 // hardware allows, which needs a recorded baseline to regress against.
 // AllocSweepBench times the 35-trace allocation sweep through the
-// placement index and through the reference linear scan — verifying
+// columnar engine and through the linear-scan oracle — verifying
 // bit-identical Results while it is at it — and QueueBench times the
 // queueing saturation curve behind Figs. 7–8. cmd/gsfbench packages
 // both into BENCH_alloc.json so CI can archive the numbers and gate on
@@ -35,11 +35,6 @@ type AllocBenchOptions struct {
 	// target is defined at.
 	ServersPerClass int
 	Policy          alloc.Policy
-	// Shards > 1 replays both timed arms through the pool-sharded
-	// multi-pool pipeline (alloc.MultiConfig.Shards) instead of the
-	// single-pool simulator. Decisions and statistics are bit-identical
-	// either way; only the timings move.
-	Shards int
 }
 
 // AllocBenchResult is the allocation sweep's measurement.
@@ -48,7 +43,6 @@ type AllocBenchResult struct {
 	VMs               int     `json:"vms"`
 	ServersPerClass   int     `json:"servers_per_class"`
 	Policy            string  `json:"policy"`
-	Shards            int     `json:"shards"`
 	IndexedSeconds    float64 `json:"indexed_seconds"`
 	ReferenceSeconds  float64 `json:"reference_seconds"`
 	Speedup           float64 `json:"speedup"`
@@ -65,8 +59,9 @@ func benchDecider(vm trace.VM) alloc.Decision {
 }
 
 // AllocSweepBench replays the production trace suite through the
-// indexed allocator and the reference scan, times both serially, and
-// checks the two produce bit-identical Results trace by trace.
+// columnar engine (IndexedSeconds) and the linear-scan oracle
+// (ReferenceSeconds), times both serially, and checks the two produce
+// bit-identical Results trace by trace.
 func AllocSweepBench(ctx context.Context, opt AllocBenchOptions) (AllocBenchResult, error) {
 	traces, err := trace.ProductionSuite()
 	if err != nil {
@@ -88,43 +83,11 @@ func AllocSweepBench(ctx context.Context, opt AllocBenchOptions) (AllocBenchResu
 		NGreen: n,
 		Policy: opt.Policy, PreferNonEmpty: true,
 	}
-	simulate := func(tr trace.Trace, reference bool) (alloc.Result, error) {
-		if opt.Shards > 1 {
-			mres, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
-				Base:           alloc.Pool{Class: cfg.Base, N: cfg.NBase},
-				Greens:         []alloc.Pool{{Class: cfg.Green, N: cfg.NGreen}},
-				Policy:         cfg.Policy,
-				PreferNonEmpty: cfg.PreferNonEmpty,
-				ReferenceScan:  reference,
-				Shards:         opt.Shards,
-			}, func(vm trace.VM) alloc.MultiDecision {
-				d := benchDecider(vm)
-				scale := 0.0
-				if d.Adopt {
-					scale = d.Scale
-				}
-				return alloc.MultiDecision{Scales: []float64{scale}}
-			})
-			if err != nil {
-				return alloc.Result{}, err
-			}
-			return alloc.Result{
-				Placed:    mres.Placed,
-				Rejected:  mres.Rejected,
-				Base:      mres.Base,
-				Green:     mres.Green[0],
-				Snapshots: mres.Snapshots,
-			}, nil
-		}
-		c := cfg
-		c.ReferenceScan = reference
-		return alloc.SimulateContext(ctx, tr, c, benchDecider)
-	}
-	run := func(reference bool) ([]alloc.Result, float64, error) {
+	run := func(simulate func(context.Context, trace.Trace, alloc.Config, alloc.Decider) (alloc.Result, error)) ([]alloc.Result, float64, error) {
 		out := make([]alloc.Result, 0, len(traces))
 		start := time.Now()
 		for _, tr := range traces {
-			res, err := simulate(tr, reference)
+			res, err := simulate(ctx, tr, cfg, benchDecider)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -133,11 +96,11 @@ func AllocSweepBench(ctx context.Context, opt AllocBenchOptions) (AllocBenchResu
 		return out, time.Since(start).Seconds(), nil
 	}
 
-	indexed, indexedSec, err := run(false)
+	indexed, indexedSec, err := run(alloc.SimulateContext)
 	if err != nil {
 		return AllocBenchResult{}, err
 	}
-	reference, referenceSec, err := run(true)
+	reference, referenceSec, err := run(alloc.SimulateOracle)
 	if err != nil {
 		return AllocBenchResult{}, err
 	}
@@ -146,7 +109,6 @@ func AllocSweepBench(ctx context.Context, opt AllocBenchOptions) (AllocBenchResu
 		Traces:            len(traces),
 		ServersPerClass:   n,
 		Policy:            cfg.Policy.String(),
-		Shards:            opt.Shards,
 		IndexedSeconds:    indexedSec,
 		ReferenceSeconds:  referenceSec,
 		DecisionIdentical: true,
@@ -232,22 +194,13 @@ type QueueKernelBenchOptions struct {
 }
 
 // KneeBenchResult measures the adaptive knee search against the
-// fixed-step sweep it replaces, plus the fluid-guided variant
-// (Config.FluidApprox) that concentrates discrete-event cost near the
-// knee.
+// fixed-step sweep it replaces.
 type KneeBenchResult struct {
 	Servers        int     `json:"servers"`
 	KneeFrac       float64 `json:"knee_frac"`
 	Evals          int     `json:"evals"`
 	FixedStepEvals int     `json:"fixed_step_evals"`
 	Seconds        float64 `json:"seconds"`
-	// The fluid-guided search: analytic bracket narrowing plus a
-	// closed-form screening probe. FluidKneeFrac must land within the
-	// bisection resolution of KneeFrac (fluid_test.go bounds it).
-	FluidKneeFrac float64 `json:"fluid_knee_frac"`
-	FluidEvals    int     `json:"fluid_evals"`
-	FluidSimEvals int     `json:"fluid_sim_evals"`
-	FluidSeconds  float64 `json:"fluid_seconds"`
 }
 
 // QueueKernelBenchResult is the queueing-kernel benchmark's
@@ -377,19 +330,6 @@ func QueueKernelBench(ctx context.Context, opt QueueKernelBenchOptions) (QueueKe
 		FixedStepEvals: int((hiFrac - loFrac) / tolFrac),
 		Seconds:        time.Since(start).Seconds(),
 	}
-
-	// The fluid-guided variant of the same search.
-	fcfg := kcfg
-	fcfg.FluidApprox = true
-	start = time.Now()
-	fknee, err := queueing.KneeSearch(ctx, fcfg, loFrac, hiFrac, tolFrac)
-	if err != nil {
-		return QueueKernelBenchResult{}, err
-	}
-	res.Knee.FluidKneeFrac = fknee.KneeFrac
-	res.Knee.FluidEvals = fknee.FluidEvals
-	res.Knee.FluidSimEvals = fknee.Evals
-	res.Knee.FluidSeconds = time.Since(start).Seconds()
 	return res, nil
 }
 

@@ -48,3 +48,33 @@ func TestArtifactsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestDiversityMatchesGolden pins the exact bytes of `gsf run
+// diversity`, the one production caller of the multi-pool simulator
+// (through cluster.MultiSizer). Bless a reviewed change with:
+//
+//	go test ./internal/experiments -run TestDiversityMatchesGolden -update
+func TestDiversityMatchesGolden(t *testing.T) {
+	r, err := Diversity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := r.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden", "diversity.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("diversity output drifted from golden copy.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), want)
+	}
+}

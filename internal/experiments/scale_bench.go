@@ -1,16 +1,16 @@
 package experiments
 
-// Large-fleet allocation benchmark: the ROADMAP's million-server row.
+// Large-fleet allocation benchmark.
 // AllocScaleBench replays a slice of the production suite at a fleet
-// size where the struct-of-pointers layout starts to hurt — the
-// columnar arm streams each trace from its GSFB binary encoding
-// through alloc.SimulateSource (the production replay path), while
-// the reference arm replays the materialized trace through
-// Config.ReferenceLayout (struct servers + the same treap/segment
-// index). The two must stay decision-identical bit for bit; the
-// speedup comes from the virgin frontier never materializing servers
-// the trace doesn't touch, where the reference layout pays O(fleet)
-// to build and audit every pool.
+// size where materializing every server hurts — the columnar arm
+// streams each trace from its GSFB binary encoding through
+// alloc.SimulateSource (the production replay path), while the
+// reference arm replays the materialized trace through the linear-scan
+// oracle (alloc.SimulateOracle), which builds every configured server
+// and scans its pool per placement. The two must stay
+// decision-identical bit for bit; the speedup comes from the placement
+// index and from the virgin frontier never materializing servers the
+// trace doesn't touch.
 
 import (
 	"bytes"
@@ -28,11 +28,12 @@ import (
 // AllocScaleOptions sizes the large-fleet benchmark.
 type AllocScaleOptions struct {
 	// Traces caps how many production-suite traces to replay; 0
-	// defaults to 6 (the full 35 at a million servers is CI-hostile
-	// on the reference arm, which pays per-trace fleet setup).
+	// defaults to 6 (the reference arm pays O(servers) per placement,
+	// so the full 35 at scale is CI-hostile).
 	Traces int
 	// ServersPerClass is the pool size for both classes; 0 defaults
-	// to 1,000,000.
+	// to 100,000. The columnar arm handles a million; the oracle arm's
+	// time grows linearly with it.
 	ServersPerClass int
 	Policy          alloc.Policy
 }
@@ -52,7 +53,7 @@ type AllocScaleResult struct {
 }
 
 // AllocScaleBench times the columnar streaming replay against the
-// reference struct layout at a large fleet size and verifies the two
+// linear-scan oracle at a large fleet size and verifies the two
 // produce bit-identical Results trace by trace.
 func AllocScaleBench(ctx context.Context, opt AllocScaleOptions) (AllocScaleResult, error) {
 	traces, err := trace.ProductionSuite()
@@ -68,7 +69,7 @@ func AllocScaleBench(ctx context.Context, opt AllocScaleOptions) (AllocScaleResu
 	}
 	n := opt.ServersPerClass
 	if n <= 0 {
-		n = 1000000
+		n = 100000
 	}
 	base := hw.BaselineGen3()
 	green := hw.GreenSKUFull()
@@ -106,12 +107,10 @@ func AllocScaleBench(ctx context.Context, opt AllocScaleOptions) (AllocScaleResu
 	}
 	columnarSec := time.Since(start).Seconds()
 
-	refCfg := cfg
-	refCfg.ReferenceLayout = true
 	reference := make([]alloc.Result, len(traces))
 	start = time.Now()
 	for i := range traces {
-		res, err := alloc.SimulateContext(ctx, traces[i], refCfg, benchDecider)
+		res, err := alloc.SimulateOracle(ctx, traces[i], cfg, benchDecider)
 		if err != nil {
 			return AllocScaleResult{}, err
 		}

@@ -142,14 +142,6 @@ type Options struct {
 	// knob — but it is still part of every memo key, because a memo
 	// must never launder one kernel's answer as the other's.
 	ReferenceEventLoop bool
-	// FluidApprox lets far-from-saturation simulations be answered by
-	// the closed-form fluid model (see queueing.Config.FluidApprox).
-	// Fluid answers are approximations, so the knob and its threshold
-	// are part of every memo key.
-	FluidApprox bool
-	// FluidThreshold is the utilization cutoff for FluidApprox; zero
-	// selects queueing.DefaultFluidThreshold.
-	FluidThreshold float64
 	// DisableSLOMemo bypasses the process-wide SLO memoization, forcing
 	// every ScalingFactor call to re-simulate its baseline SLO point.
 	// Benchmarks use it to measure the unmemoized kernel; results are
@@ -209,8 +201,6 @@ func sloKey(a apps.App, baseline hw.SKU, opt Options) string {
 		Seed:               opt.Seed,
 		ReferenceSampling:  opt.ReferenceSampling,
 		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
 	}
 	return fmt.Sprintf("%#v|%#v|%#v", a, baseline, k)
 }
@@ -255,8 +245,6 @@ func sloRun(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (p95 
 		Seed:               opt.Seed,
 		ReferenceSampling:  opt.ReferenceSampling,
 		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -304,8 +292,6 @@ func ScalingFactorContext(ctx context.Context, a apps.App, green, baseline hw.SK
 			Seed:               opt.Seed,
 			ReferenceSampling:  opt.ReferenceSampling,
 			ReferenceEventLoop: opt.ReferenceEventLoop,
-			FluidApprox:        opt.FluidApprox,
-			FluidThreshold:     opt.FluidThreshold,
 		})
 		if err != nil {
 			return Factor{}, err
@@ -403,8 +389,6 @@ func LowLoadLatency(a apps.App, sku hw.SKU, cores int, cxlBacked bool, opt Optio
 		Seed:               opt.Seed,
 		ReferenceSampling:  opt.ReferenceSampling,
 		ReferenceEventLoop: opt.ReferenceEventLoop,
-		FluidApprox:        opt.FluidApprox,
-		FluidThreshold:     opt.FluidThreshold,
 	})
 	if err != nil {
 		return 0, err

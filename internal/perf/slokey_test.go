@@ -5,8 +5,8 @@ package perf
 // simulated point, and that reduction is rebuilt by hand — so a new
 // simulator knob that is threaded into queueing.Config but forgotten in
 // the reduced literal silently collides memo entries across kernel
-// modes. That is exactly what happened when ReferenceEventLoop and the
-// fluid knobs landed; these tests pin the fix and the failure shape.
+// modes. That is exactly what happened when ReferenceEventLoop landed;
+// these tests pin the fix and the failure shape.
 
 import (
 	"fmt"
@@ -22,8 +22,6 @@ func kernelKnobVariants() map[string]func(*Options) {
 	return map[string]func(*Options){
 		"ReferenceSampling":  func(o *Options) { o.ReferenceSampling = true },
 		"ReferenceEventLoop": func(o *Options) { o.ReferenceEventLoop = true },
-		"FluidApprox":        func(o *Options) { o.FluidApprox = true },
-		"FluidThreshold":     func(o *Options) { o.FluidApprox = true; o.FluidThreshold = 0.5 },
 		"Requests":           func(o *Options) { o.Requests += 1000 },
 		"Seed":               func(o *Options) { o.Seed++ },
 	}
@@ -63,7 +61,7 @@ func TestSLOKeyDistinguishesKernelKnobs(t *testing.T) {
 // TestSLOKeyLegacyShapeCollides documents the bug the fix removed: the
 // pre-fix reduced literal (BaselineCores, LoadFraction, Requests, Seed,
 // ReferenceSampling only) maps different kernel modes to one key, so a
-// fluid approximation could have been served from a discrete run's memo
+// scalar-loop point could have been served from a batched run's memo
 // entry. The current sloKey keeps them apart.
 func TestSLOKeyLegacyShapeCollides(t *testing.T) {
 	legacyKey := func(a apps.App, baseline hw.SKU, opt Options) string {
@@ -78,15 +76,15 @@ func TestSLOKeyLegacyShapeCollides(t *testing.T) {
 	}
 	a := apps.All()[0]
 	base := hw.BaselineGen3()
-	discrete := DefaultOptions()
-	fluid := discrete
-	fluid.FluidApprox = true
+	batched := DefaultOptions()
+	scalar := batched
+	scalar.ReferenceEventLoop = true
 
-	if legacyKey(a, base, discrete) != legacyKey(a, base, fluid) {
+	if legacyKey(a, base, batched) != legacyKey(a, base, scalar) {
 		t.Fatal("legacy key shape no longer collides; this regression demo is stale")
 	}
-	if sloKey(a, base, discrete) == sloKey(a, base, fluid) {
-		t.Fatal("sloKey collides across FluidApprox modes: a fluid answer could be served from a discrete memo entry")
+	if sloKey(a, base, batched) == sloKey(a, base, scalar) {
+		t.Fatal("sloKey collides across ReferenceEventLoop modes: a scalar-loop point could be served from a batched memo entry")
 	}
 }
 

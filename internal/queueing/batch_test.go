@@ -59,8 +59,7 @@ func TestBatchedMatchesReferenceEventLoop35Seeds(t *testing.T) {
 }
 
 // TestBatchedKneeSearchMatchesReference pins that the whole adaptive
-// search — not just single runs — is loop-agnostic when the fluid path
-// is off.
+// search — not just single runs — is loop-agnostic.
 func TestBatchedKneeSearchMatchesReference(t *testing.T) {
 	for _, servers := range []int{8, 512} {
 		cfg := Config{Servers: servers, Service: LogNormal{0.004, 1}, Requests: 20000, Seed: 5}

@@ -1,0 +1,73 @@
+package queueing
+
+// Exact service-time quantiles. The calendar queue (calendar.go) sizes
+// its bucket ring from Quantile(0.9999) when the service distribution
+// exposes one, so long-tailed services get a span that covers their
+// tail.
+
+import "math"
+
+// quantileDist is the optional ServiceDist extension supplying exact
+// service-time quantiles (p in (0, 1)).
+type quantileDist interface{ Quantile(p float64) float64 }
+
+// Quantile returns the p-th quantile (p in (0, 1)) of the service time.
+func (l LogNormal) Quantile(p float64) float64 {
+	if l.CV <= 0 {
+		return l.MeanSeconds
+	}
+	mu, sigma := l.params()
+	return math.Exp(mu + sigma*normQuantile(p))
+}
+
+// Quantile returns the p-th quantile of the exponential service time.
+func (e Exponential) Quantile(p float64) float64 {
+	return -e.MeanSeconds * math.Log(1-p)
+}
+
+// normQuantile is the standard normal inverse CDF (Acklam's rational
+// approximation, |relative error| < 1.15e-9).
+func normQuantile(p float64) float64 {
+	if !(p > 0 && p < 1) {
+		return math.NaN()
+	}
+	const (
+		a1 = -3.969683028665376e+01
+		a2 = 2.209460984245205e+02
+		a3 = -2.759285104469687e+02
+		a4 = 1.383577518672690e+02
+		a5 = -3.066479806614716e+01
+		a6 = 2.506628277459239e+00
+		b1 = -5.447609879822406e+01
+		b2 = 1.615858368580409e+02
+		b3 = -1.556989798598866e+02
+		b4 = 6.680131188771972e+01
+		b5 = -1.328068155288572e+01
+		c1 = -7.784894002430293e-03
+		c2 = -3.223964580411365e-01
+		c3 = -2.400758277161838e+00
+		c4 = -2.549732539343734e+00
+		c5 = 4.374664141464968e+00
+		c6 = 2.938163982698783e+00
+		d1 = 7.784695709041462e-03
+		d2 = 3.224671290700398e-01
+		d3 = 2.445134137142996e+00
+		d4 = 3.754408661907416e+00
+		pl = 0.02425
+	)
+	switch {
+	case p < pl:
+		q := math.Sqrt(-2 * math.Log(p))
+		return (((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
+			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+	case p > 1-pl:
+		q := math.Sqrt(-2 * math.Log(1-p))
+		return -(((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
+			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+	default:
+		q := p - 0.5
+		r := q * q
+		return (((((a1*r+a2)*r+a3)*r+a4)*r+a5)*r + a6) * q /
+			(((((b1*r+b2)*r+b3)*r+b4)*r+b5)*r + 1)
+	}
+}

@@ -148,19 +148,6 @@ type Config struct {
 	// loops produce bit-identical Results — the differential wall in
 	// batch_test.go proves it across 35 seeds.
 	ReferenceEventLoop bool
-	// FluidApprox opts into the analytic fluid approximation: when the
-	// configured load sits at or below FluidThreshold of capacity (and
-	// the service distribution exposes its moments), Run answers from a
-	// closed-form M/G/k model instead of simulating, and KneeSearch uses
-	// the analytic knee estimate to pre-shrink its bracket. Results from
-	// the fluid path carry Result.Fluid = true and are approximations,
-	// never bit-comparable to discrete-event output; the property tests
-	// in fluid_test.go bound the error. Off by default, and ignored when
-	// either reference mode is set.
-	FluidApprox bool
-	// FluidThreshold is the utilization (offered / capacity) at or below
-	// which FluidApprox may answer. Zero means the default of 0.7.
-	FluidThreshold float64
 	// Audit receives invariant violations (event-clock monotonicity,
 	// service ordering, heap integrity, percentile ordering, sample
 	// domain). Nil falls back to the process default (audit.SetDefault);
@@ -179,10 +166,6 @@ type Result struct {
 	// Saturated reports that the queue was unstable: offered load at
 	// or above capacity, detected by latency growth across the run.
 	Saturated bool
-	// Fluid reports that this result came from the closed-form fluid
-	// approximation (Config.FluidApprox) rather than a discrete-event
-	// simulation. Always false on the discrete paths.
-	Fluid bool
 }
 
 // serverHeap is a min-heap over each server's next-free time. The heap
@@ -255,11 +238,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = cfg.Requests / 10
-	}
-	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
-		if res, ok := fluidResult(cfg); ok {
-			return res, nil
-		}
 	}
 	if !cfg.ReferenceEventLoop {
 		return runBatched(ctx, cfg)
@@ -508,11 +486,6 @@ type Knee struct {
 	// adaptive search needs O(log((hi-lo)/tol)) of them where a
 	// fixed-step sweep at the same resolution needs (hi-lo)/tol.
 	Evals int
-	// FluidEvals counts load points answered by the closed-form fluid
-	// model instead of simulation (Config.FluidApprox only). Fluid
-	// answers are restricted to bracket screening: every bisection
-	// probe and the returned stable/knee points are discrete.
-	FluidEvals int
 }
 
 // KneeSearch locates a queue's saturation knee by bracketing and
@@ -522,14 +495,6 @@ type Knee struct {
 // runs differ only in offered load (common random numbers), and the
 // search is fully deterministic. Use it where only the knee is needed;
 // CurveContext still serves full-curve measurements.
-//
-// With Config.FluidApprox set, the search first narrows the bracket
-// around the analytic knee estimate and lets the fluid model answer the
-// far-from-saturation screening probe; every bisection probe and the
-// returned stable/knee points remain discrete-event simulations (a
-// fluid-screened stable endpoint is re-simulated before being
-// returned, and the search restarts fully discrete if the fluid screen
-// disagrees with simulation).
 func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
 	if cfg.Servers <= 0 || cfg.Service == nil {
 		return Knee{}, fmt.Errorf("queueing: knee search needs positive servers and a service distribution")
@@ -540,21 +505,10 @@ func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64
 	if !(tolFrac > 0) {
 		return Knee{}, fmt.Errorf("queueing: knee search needs a positive tolerance, got %v", tolFrac)
 	}
-	if cfg.FluidApprox && !cfg.ReferenceEventLoop && !cfg.ReferenceSampling {
-		if k, ok, err := kneeSearchFluid(ctx, cfg, loFrac, hiFrac, tolFrac); ok || err != nil {
-			return k, err
-		}
-	}
-	return kneeSearchDiscrete(ctx, cfg, loFrac, hiFrac, tolFrac)
-}
-
-// kneeSearchDiscrete is the purely discrete-event bracketing search.
-func kneeSearchDiscrete(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
 	peak := Capacity(cfg.Servers, cfg.Service)
 	var k Knee
 	eval := func(frac float64) (Result, error) {
 		c := cfg
-		c.FluidApprox = false
 		c.ArrivalRate = frac * peak
 		k.Evals++
 		return RunContext(ctx, c)
@@ -599,150 +553,4 @@ func kneeSearchDiscrete(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac
 		}
 	}
 	return k, nil
-}
-
-// kneeSearchFluid is the fluid-guided search. ok is false when the
-// service distribution hides its moments, in which case the caller
-// falls back to the purely discrete search.
-func kneeSearchFluid(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, bool, error) {
-	est, okEst := fluidKneeFrac(cfg)
-	if !okEst {
-		return Knee{}, false, nil
-	}
-	peak := Capacity(cfg.Servers, cfg.Service)
-	var k Knee
-	evalD := func(frac float64) (Result, error) {
-		c := cfg
-		c.FluidApprox = false
-		c.ArrivalRate = frac * peak
-		k.Evals++
-		return RunContext(ctx, c)
-	}
-	stableFluid := false
-	setStable := func(frac float64, r Result) {
-		k.StableFrac, k.StableQPS, k.StableP95 = frac, r.Offered, r.P95
-		stableFluid = r.Fluid
-	}
-	setKnee := func(frac float64, r Result) {
-		k.Found = true
-		k.KneeFrac, k.KneeQPS = frac, r.Offered
-	}
-
-	// Screening probe at the bracket floor: the fluid model answers it
-	// when the load is inside the fluid threshold; otherwise this is an
-	// ordinary discrete evaluation.
-	lo, err := func() (Result, error) {
-		c := cfg
-		c.ArrivalRate = loFrac * peak
-		r, err := RunContext(ctx, c)
-		if err == nil && r.Fluid {
-			k.FluidEvals++
-		} else if err == nil {
-			k.Evals++
-		}
-		return r, err
-	}()
-	if err != nil {
-		return Knee{}, true, err
-	}
-	if lo.Saturated {
-		// The fluid model never reports saturation, so this verdict is
-		// discrete: the whole bracket is past the knee.
-		setKnee(loFrac, lo)
-		return k, true, nil
-	}
-	setStable(loFrac, lo)
-
-	// Narrow the bracket around the analytic estimate before paying for
-	// endpoint simulations far from the knee.
-	margin := 4 * tolFrac
-	if margin < 0.05 {
-		margin = 0.05
-	}
-	loF, hiF := loFrac, hiFrac
-	haveHi := false
-	if ghi := est + margin; ghi > loF && ghi < hiF {
-		res, err := evalD(ghi)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			hiF = ghi
-			setKnee(ghi, res)
-			haveHi = true
-		} else {
-			loF = ghi
-			setStable(ghi, res)
-		}
-	}
-	if haveHi {
-		if glo := est - margin; glo > loF {
-			res, err := evalD(glo)
-			if err != nil {
-				return Knee{}, true, err
-			}
-			if res.Saturated {
-				hiF = glo
-				setKnee(glo, res)
-			} else {
-				loF = glo
-				setStable(glo, res)
-			}
-		}
-	} else {
-		res, err := evalD(hiF)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if !res.Saturated {
-			// Still stable at the top of the bracket: no knee inside.
-			setStable(hiF, res)
-			return k, true, nil
-		}
-		setKnee(hiF, res)
-	}
-
-	for hiF-loF > tolFrac {
-		mid := loF + (hiF-loF)/2
-		res, err := evalD(mid)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			hiF = mid
-			setKnee(mid, res)
-		} else {
-			loF = mid
-			setStable(mid, res)
-		}
-	}
-
-	if stableFluid {
-		// The returned stable point must be simulation-sourced: re-run
-		// the fluid-screened endpoint discretely, and if the screen's
-		// stability verdict does not survive simulation, discard the
-		// guided search entirely.
-		res, err := evalD(k.StableFrac)
-		if err != nil {
-			return Knee{}, true, err
-		}
-		if res.Saturated {
-			kd, err := kneeSearchDiscrete(ctx, cfg, loFrac, hiFrac, tolFrac)
-			kd.Evals += k.Evals
-			kd.FluidEvals = k.FluidEvals
-			return kd, true, err
-		}
-		setStable(k.StableFrac, res)
-	}
-	if chk := audit.Resolve(cfg.Audit); chk != nil && k.Found && k.FluidEvals > 0 {
-		// Canary for the fluid containment contract: the only fluid
-		// answer is the loFrac screen, which must sit at or below the
-		// returned stable endpoint, never inside the bracket.
-		if loFrac > k.StableFrac && loFrac < k.KneeFrac {
-			audit.Failf(chk, "queueing", "fluid-in-bracket",
-				"fluid screening eval at %g landed inside the knee bracket (%g, %g)",
-				loFrac, k.StableFrac, k.KneeFrac)
-		}
-	}
-	return k, true, nil
 }
