@@ -147,6 +147,35 @@ type Result struct {
 	Base               ClassStats
 	Green              ClassStats
 	Snapshots          int
+	// BaseProof and GreenProof are what the replay proves about other
+	// sizes of each pool (see PoolProof). Cluster sizing answers its
+	// search probes from them.
+	BaseProof  PoolProof
+	GreenProof PoolProof
+}
+
+// PoolProof is what one replay proves about the same replay with one
+// pool resized, every other pool and directive unchanged. Both facts
+// follow from the frontier invariant (colsim.go): a placement that
+// opens a new server always takes the lowest never-used id.
+//
+//   - HighWater is the number of the pool's servers the replay ever
+//     used. At any size N with HighWater <= N <= the replayed size, the
+//     replay makes exactly the same decisions, so its outcome (in
+//     particular its rejection count) is the same.
+//   - Forced[k], for k < HighWater, is true when, at the moment the
+//     replay opened server k, the pool had no feasible server among
+//     ids [0, k) and no pool tried after it (later green pools, then
+//     the baseline) would take the VM. A replay with the pool capped
+//     at k makes the same decisions up to that moment and then rejects
+//     the VM, so at size k the trace does not fit.
+//
+// A false Forced[k] proves nothing. A Sim resumed from a snapshot
+// reports false for the servers opened before the snapshot, whose
+// opening the snapshot does not record.
+type PoolProof struct {
+	HighWater int
+	Forced    []bool
 }
 
 // Simulate replays the trace against the configured cluster.

@@ -19,7 +19,9 @@ package alloc
 //     opens a new server provably lands on the lowest virgin id (see
 //     pick), the touched set is always exactly the prefix
 //     [0, frontier), and a replay's memory footprint is
-//     O(servers touched), not O(servers configured).
+//     O(servers touched), not O(servers configured). The same
+//     invariant lets a replay prove facts about other pool sizes
+//     (PoolProof), which cluster sizing uses to skip replays.
 //
 // A cluster is a baseline pool plus K green pools, tried in order. The
 // simulator (Sim) is a push-style event consumer: NewSim → Step per
@@ -51,6 +53,10 @@ type fleet struct {
 	vms        []int32
 	touched    []float64 // resident VMs' aggregate touched memory, GB
 	ix         ixCore
+	// forced[k] records, for each opened server k, whether a pool
+	// capped at k would have rejected the VM that opened it
+	// (PoolProof.Forced). Only a Sim keeps it.
+	forced []bool
 }
 
 func newFleet(class ServerClass, n int) fleet {
@@ -76,31 +82,42 @@ func (f *fleet) state(id int32) (cores, mem float64, nonEmpty bool) {
 }
 
 // pick selects a feasible server decision-identically to the oracle's
-// scan over all n servers. The scan visits ids ascending, so it
-// reduces to: scan [0, frontier) — which the index answers — then
+// scan over all n servers; choose explains how.
+func (f *fleet) pick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
+	id, _ := f.choose(cores, mem, pol, preferNonEmpty)
+	return id
+}
+
+// choose is pick that also reports whether any touched server was
+// feasible, which PoolProof.Forced needs when the pick opens a new
+// server; the index answers both at once.
+//
+// The oracle's scan visits ids ascending, so it reduces to: scan [0, frontier) — which the index answers — then
 // offer the first virgin (id == frontier) as one more candidate. Later
 // virgins are identical to the first and the scan's preference
 // predicate is strict (ties keep the incumbent), so they can never win
 // and need not be considered; this is also why a placement opening a
 // new server always opens id frontier, keeping the touched set a
 // prefix.
-func (f *fleet) pick(cores, mem float64, pol Policy, preferNonEmpty bool) int32 {
+func (f *fleet) choose(cores, mem float64, pol Policy, preferNonEmpty bool) (id int32, touchedFit bool) {
 	virgin := f.frontier < f.n && f.capC >= cores && f.capM >= mem
 	if f.frontier == 0 {
 		if virgin {
-			return f.frontier
+			return f.frontier, false
 		}
-		return nilNode
+		return nilNode, false
 	}
 	if preferNonEmpty {
 		// The virgin is empty, so any feasible non-empty server beats
 		// it outright; it only competes in the empty phase.
 		if t := f.ix.pickClass(cores, mem, pol, true); t != nilNode {
-			return t
+			return t, true
 		}
-		return f.combine(f.ix.pickClass(cores, mem, pol, false), virgin, pol)
+		t := f.ix.pickClass(cores, mem, pol, false)
+		return f.combine(t, virgin, pol), t != nilNode
 	}
-	return f.combine(f.ix.pickNode(cores, mem, pol, false), virgin, pol)
+	t := f.ix.pickNode(cores, mem, pol, false)
+	return f.combine(t, virgin, pol), t != nilNode
 }
 
 // combine resolves the touched winner t against the virgin candidate
@@ -187,6 +204,12 @@ func (f *fleet) place(id int32, cores, mem, touched float64) {
 	f.vms[id]++
 	f.touched[id] += touched
 	f.ix.attachID(id, f.coresFree[id], f.memFree[id], f.vms[id] > 0)
+}
+
+// proof reports what the replay so far proves about other sizes of
+// the pool.
+func (f *fleet) proof() PoolProof {
+	return PoolProof{HighWater: int(f.frontier), Forced: f.forced[:f.frontier:f.frontier]}
 }
 
 // release returns a departure's resources. Departing VMs were placed,
@@ -441,6 +464,10 @@ func (s *Sim) Step(vm trace.VM) error {
 	d, md := s.decideFor(vm)
 	pool, placed := 0, nilNode
 	var cores, mem float64
+	// touchedFit is whether the chosen pool had a feasible touched
+	// server. It stays false for full-node VMs: they take the first
+	// empty server, so opening a new one means none was empty.
+	var touchedFit bool
 	if vm.FullNode {
 		placed = s.fullNodePick()
 		if s.chk != nil {
@@ -455,12 +482,14 @@ func (s *Sim) Step(vm trace.VM) error {
 			}
 			cores = float64(vm.Cores) * scale
 			mem = float64(vm.Memory) * scale
-			pool, placed = g, s.pickFrom(&s.pools[g], cores, mem)
+			placed, touchedFit = s.pickFrom(&s.pools[g], cores, mem)
+			pool = g
 		}
 		if placed == nilNode {
 			cores = float64(vm.Cores)
 			mem = float64(vm.Memory)
-			pool, placed = 0, s.pickFrom(&s.pools[0], cores, mem)
+			placed, touchedFit = s.pickFrom(&s.pools[0], cores, mem)
+			pool = 0
 		}
 	}
 	s.lastArrive = vm.Arrive
@@ -487,6 +516,9 @@ func (s *Sim) Step(vm trace.VM) error {
 				"VM %d placed at t=%g after its departure t=%g", vm.ID, vm.Arrive, vm.Depart)
 		}
 	}
+	if placed == f.frontier {
+		f.forced = append(f.forced, !touchedFit && !s.fallbackTakes(vm, pool, d, md))
+	}
 	touched := mem * vm.MaxMemFrac
 	f.place(placed, cores, mem, touched)
 	if s.chk != nil {
@@ -503,10 +535,29 @@ func (s *Sim) Step(vm trace.VM) error {
 	return nil
 }
 
-// pickFrom picks through the index; with auditing on, the decision is
-// re-derived by the columnar scan and any disagreement reported.
-func (s *Sim) pickFrom(f *fleet, cores, mem float64) int32 {
-	id := f.pick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
+// fallbackTakes reports whether a pool tried after pool (later green
+// pools, then the baseline) has a feasible server for vm: had pool
+// been capped, vm would have gone there instead of being rejected.
+// Step asks only when a placement opens a new server.
+func (s *Sim) fallbackTakes(vm trace.VM, pool int, d Decision, md MultiDecision) bool {
+	if vm.FullNode || pool == 0 {
+		return false
+	}
+	pol, prefer := s.cfg.Policy, s.cfg.PreferNonEmpty
+	for g := pool + 1; g < len(s.pools); g++ {
+		if scale, ok := s.offer(g, d, md); ok &&
+			s.pools[g].pick(float64(vm.Cores)*scale, float64(vm.Memory)*scale, pol, prefer) != nilNode {
+			return true
+		}
+	}
+	return s.pools[0].pick(float64(vm.Cores), float64(vm.Memory), pol, prefer) != nilNode
+}
+
+// pickFrom picks through the index, reporting whether any touched
+// server was feasible; with auditing on, the decision is re-derived by
+// the columnar scan and any disagreement reported.
+func (s *Sim) pickFrom(f *fleet, cores, mem float64) (int32, bool) {
+	id, touchedFit := f.choose(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty)
 	if s.chk != nil {
 		if ref := f.scanPick(cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty); ref != id {
 			audit.Failf(s.chk, "alloc", "index-divergence",
@@ -514,7 +565,7 @@ func (s *Sim) pickFrom(f *fleet, cores, mem float64) int32 {
 				f.class.Name, cores, mem, s.cfg.Policy, s.cfg.PreferNonEmpty, id, ref)
 		}
 	}
-	return id
+	return id, touchedFit
 }
 
 // auditFullNodePick cross-checks the full-node selection against a
@@ -591,8 +642,10 @@ func (s *Sim) Finish(horizon float64) Result {
 
 	res := s.res
 	res.Base = s.aggs[0].stats()
+	res.BaseProof = s.pools[0].proof()
 	if len(s.aggs) > 1 {
 		res.Green = s.aggs[1].stats()
+		res.GreenProof = s.pools[1].proof()
 	}
 	return res
 }

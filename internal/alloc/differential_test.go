@@ -5,7 +5,9 @@ package alloc
 // production suite under every policy with PreferNonEmpty on and off —
 // once through the single-green Config path sizing uses, and once
 // through the multi-pool path with 1, 2 and 3 green pools — and demand
-// bit-identical Results and identical per-VM placement sequences. The
+// bit-identical Results, identical per-VM placement sequences, and
+// identical pool proofs (PoolProof), which the oracle derives on its
+// own by re-running each opening placement with the pool capped. The
 // package's TestMain wraps everything in audit.SweepMain, so every
 // indexed pick here is additionally cross-checked against the columnar
 // scan by the audit layer (alloc/index-divergence) as it happens.
@@ -97,6 +99,32 @@ func sameMulti(a, b MultiResult) bool {
 	return true
 }
 
+func sameProof(a, b PoolProof) bool {
+	if a.HighWater != b.HighWater || len(a.Forced) != len(b.Forced) {
+		return false
+	}
+	for k := range a.Forced {
+		if a.Forced[k] != b.Forced[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameProofs reports whether two multi-pool replays proved the same
+// facts about every pool.
+func sameProofs(a, b MultiResult) bool {
+	if !sameProof(a.BaseProof, b.BaseProof) || len(a.GreenProofs) != len(b.GreenProofs) {
+		return false
+	}
+	for i := range a.GreenProofs {
+		if !sameProof(a.GreenProofs[i], b.GreenProofs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // sameSeq reports the first placement where two sequences diverge, or
 // -1 when they are identical.
 func sameSeq(a, b []placeRec) int {
@@ -147,6 +175,7 @@ func productionSuite(t *testing.T) []trace.Trace {
 func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
 	traces := productionSuite(t)
 	totalPlaced, totalRejected := 0, 0
+	var proofs proofTally
 	for _, c := range diffCases() {
 		cfg := Config{
 			Base: baseClass(), NBase: 40,
@@ -164,6 +193,11 @@ func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
 				t.Errorf("%s (%v, preferNonEmpty=%v): engine Result %+v != oracle %+v",
 					tr.Name, c.pol, c.prefer, gotRes, wantRes)
 			}
+			if !sameProof(gotRes.BaseProof, wantRes.BaseProof) || !sameProof(gotRes.GreenProof, wantRes.GreenProof) {
+				t.Errorf("%s (%v, preferNonEmpty=%v): engine proofs %v/%v != oracle %v/%v",
+					tr.Name, c.pol, c.prefer, gotRes.BaseProof, gotRes.GreenProof, wantRes.BaseProof, wantRes.GreenProof)
+			}
+			proofs.count(gotRes.BaseProof, gotRes.GreenProof)
 			if i := sameSeq(gotSeq, wantSeq); i >= 0 {
 				t.Errorf("%s (%v, preferNonEmpty=%v): placement %d of %d/%d diverges from the oracle",
 					tr.Name, c.pol, c.prefer, i, len(gotSeq), len(wantSeq))
@@ -176,6 +210,30 @@ func TestDifferentialIndexedVsScan35Traces(t *testing.T) {
 	// proof is vacuous on one side.
 	if totalPlaced == 0 || totalRejected == 0 {
 		t.Fatalf("differential sweep is degenerate: %d placed, %d rejected", totalPlaced, totalRejected)
+	}
+	proofs.check(t)
+}
+
+// proofTally counts the Forced entries a sweep compared, so a wall
+// whose proofs are all false (or all true) cannot pass vacuously.
+type proofTally struct{ forced, unforced int }
+
+func (p *proofTally) count(proofs ...PoolProof) {
+	for _, pr := range proofs {
+		for _, f := range pr.Forced {
+			if f {
+				p.forced++
+			} else {
+				p.unforced++
+			}
+		}
+	}
+}
+
+func (p *proofTally) check(t *testing.T) {
+	t.Helper()
+	if p.forced == 0 || p.unforced == 0 {
+		t.Fatalf("proof comparison is degenerate: %d forced, %d unforced openings", p.forced, p.unforced)
 	}
 }
 
@@ -208,6 +266,7 @@ func multiDiffDecider(vm trace.VM) MultiDecision {
 func TestDifferentialMultiPool(t *testing.T) {
 	traces := productionSuite(t)
 	totalPlaced, totalRejected := 0, 0
+	var proofs proofTally
 	for k := 1; k <= 3; k++ {
 		for _, c := range diffCases() {
 			mc := MultiConfig{
@@ -229,6 +288,12 @@ func TestDifferentialMultiPool(t *testing.T) {
 					t.Errorf("%s (%d greens, %v, preferNonEmpty=%v): engine %+v != oracle %+v",
 						tr.Name, k, c.pol, c.prefer, got, want)
 				}
+				if !sameProofs(got, want) {
+					t.Errorf("%s (%d greens, %v, preferNonEmpty=%v): engine proofs %v/%v != oracle %v/%v",
+						tr.Name, k, c.pol, c.prefer, got.BaseProof, got.GreenProofs, want.BaseProof, want.GreenProofs)
+				}
+				proofs.count(got.BaseProof)
+				proofs.count(got.GreenProofs...)
 				if i := sameSeq(gotSeq, wantSeq); i >= 0 {
 					t.Errorf("%s (%d greens, %v, preferNonEmpty=%v): placement %d of %d/%d diverges from the oracle",
 						tr.Name, k, c.pol, c.prefer, i, len(gotSeq), len(wantSeq))
@@ -241,4 +306,5 @@ func TestDifferentialMultiPool(t *testing.T) {
 	if totalPlaced == 0 || totalRejected == 0 {
 		t.Fatalf("multi-pool differential is degenerate: %d placed, %d rejected", totalPlaced, totalRejected)
 	}
+	proofs.check(t)
 }

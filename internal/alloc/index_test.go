@@ -216,7 +216,7 @@ func TestAuditCatchesCorruptedIndex(t *testing.T) {
 
 	rec = audit.NewRecorder()
 	s.chk = rec
-	got := s.pickFrom(f, 6, 10)
+	got, _ := s.pickFrom(f, 6, 10)
 	if rec.Counts()["alloc/index-divergence"] == 0 {
 		t.Fatalf("index/scan divergence not caught (picked %d): %v", got, rec.Counts())
 	}

@@ -49,6 +49,10 @@ type MultiResult struct {
 	Base      ClassStats
 	Green     []ClassStats // aligned with the green pools
 	Snapshots int
+	// BaseProof and GreenProofs (aligned with the green pools) are what
+	// the replay proves about other sizes of each pool; see PoolProof.
+	BaseProof   PoolProof
+	GreenProofs []PoolProof
 }
 
 // SimulateMulti replays a trace against a baseline pool plus green
@@ -97,14 +101,17 @@ func SimulateMultiContext(ctx context.Context, tr trace.Trace, mc MultiConfig, d
 		return MultiResult{}, err
 	}
 	out := MultiResult{
-		Placed:    res.Placed,
-		Rejected:  res.Rejected,
-		Base:      res.Base,
-		Green:     make([]ClassStats, len(mc.Greens)),
-		Snapshots: res.Snapshots,
+		Placed:      res.Placed,
+		Rejected:    res.Rejected,
+		Base:        res.Base,
+		Green:       make([]ClassStats, len(mc.Greens)),
+		Snapshots:   res.Snapshots,
+		BaseProof:   res.BaseProof,
+		GreenProofs: make([]PoolProof, len(mc.Greens)),
 	}
 	for i := range out.Green {
 		out.Green[i] = s.aggs[1+i].stats()
+		out.GreenProofs[i] = s.pools[1+i].proof()
 	}
 	return out, nil
 }

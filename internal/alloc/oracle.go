@@ -25,6 +25,10 @@ type server struct {
 	// maxMemTouched accumulates the resident VMs' maximum touched
 	// memory in GB (request * MaxMemFrac), the Fig. 10 metric.
 	maxMemTouched float64
+	// opened and forced record the server's first placement for the
+	// pool's PoolProof: forced is whether the replay with the pool
+	// capped at this server's id would have rejected that VM.
+	opened, forced bool
 }
 
 func (s *server) fits(cores, mem float64) bool {
@@ -105,7 +109,7 @@ func SimulateOracle(ctx context.Context, tr trace.Trace, cfg Config, decide Deci
 	if decide == nil {
 		decide = AdoptNone
 	}
-	res, _, err := oracleReplay(ctx, &router{cfg: cfg, decide: decide}, tr, []Pool{{Class: cfg.Green, N: cfg.NGreen}})
+	res, _, _, err := oracleReplay(ctx, &router{cfg: cfg, decide: decide}, tr, []Pool{{Class: cfg.Green, N: cfg.NGreen}})
 	return res, err
 }
 
@@ -120,17 +124,69 @@ func simulateOracleMulti(ctx context.Context, tr trace.Trace, mc MultiConfig, de
 	if decide == nil {
 		decide = func(trace.VM) MultiDecision { return MultiDecision{} }
 	}
-	res, green, err := oracleReplay(ctx, &router{cfg: multiBaseConfig(mc), decideMulti: decide}, tr, mc.Greens)
+	res, green, proofs, err := oracleReplay(ctx, &router{cfg: multiBaseConfig(mc), decideMulti: decide}, tr, mc.Greens)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	return MultiResult{Placed: res.Placed, Rejected: res.Rejected, Base: res.Base, Green: green, Snapshots: res.Snapshots}, nil
+	return MultiResult{Placed: res.Placed, Rejected: res.Rejected, Base: res.Base, Green: green, Snapshots: res.Snapshots,
+		BaseProof: res.BaseProof, GreenProofs: proofs}, nil
+}
+
+// oracleProof derives a pool's PoolProof from its servers' first
+// placements: the high-water is one past the highest id ever used.
+func oracleProof(servers []*server) PoolProof {
+	h := 0
+	for id, s := range servers {
+		if s.opened {
+			h = id + 1
+		}
+	}
+	p := PoolProof{HighWater: h, Forced: make([]bool, h)}
+	for id := range p.Forced {
+		p.Forced[id] = servers[id].forced
+	}
+	return p
+}
+
+// cappedRejects reports whether a replay with pool capped at k servers
+// would reject vm in the current state: it reruns the VM's placement
+// scans with the pool cut to ids [0, k).
+func (o *router) cappedRejects(pools [][]*server, pool, k int, vm trace.VM, d Decision, md MultiDecision) bool {
+	base := pools[0]
+	if vm.FullNode {
+		capC, capM := float64(o.cfg.Base.Cores), float64(o.cfg.Base.Memory)
+		for _, s := range base[:k] {
+			if s.vms == 0 && (o.decideMulti != nil || s.fits(capC, capM)) {
+				return false
+			}
+		}
+		return true
+	}
+	pol, prefer := o.cfg.Policy, o.cfg.PreferNonEmpty
+	for g := 1; g < len(pools); g++ {
+		scale, ok := o.offer(g, d, md)
+		if !ok {
+			continue
+		}
+		servers := pools[g]
+		if g == pool {
+			servers = servers[:k]
+		}
+		if pick(servers, float64(vm.Cores)*scale, float64(vm.Memory)*scale, pol, prefer) != nilNode {
+			return false
+		}
+	}
+	if pool == 0 {
+		base = base[:k]
+	}
+	return pick(base, float64(vm.Cores), float64(vm.Memory), pol, prefer) == nilNode
 }
 
 // oracleReplay is the oracle's event loop over the baseline pool plus
 // the green pools, under r's directives. It returns the Result (Green
-// is the first green pool's) and every green pool's statistics.
-func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool) (Result, []ClassStats, error) {
+// is the first green pool's) and every green pool's statistics and
+// proof.
+func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool) (Result, []ClassStats, []PoolProof, error) {
 	classes := make([]ServerClass, 1+len(greens))
 	pools := make([][]*server, len(classes))
 	aggs := make([]aggregator, len(classes))
@@ -172,7 +228,7 @@ func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool)
 	for i, vm := range tr.VMs {
 		if i&1023 == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, nil, err
+				return Result{}, nil, nil, err
 			}
 		}
 		for nextSnap <= vm.Arrive {
@@ -219,6 +275,10 @@ func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool)
 			continue
 		}
 		s := pools[pool][placed]
+		if !s.opened {
+			s.opened = true
+			s.forced = o.cappedRejects(pools, pool, int(placed), vm, d, md)
+		}
 		if chk != nil && !admissible(s.coresFree, s.memFree, cores, mem) {
 			audit.Failf(chk, "alloc", "admissibility",
 				"VM %d (%gc/%gGB) placed on %s with only %gc/%gGB free",
@@ -263,12 +323,16 @@ func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool)
 	}
 
 	res.Base = aggs[0].stats()
+	res.BaseProof = oracleProof(pools[0])
 	green := make([]ClassStats, len(greens))
+	proofs := make([]PoolProof, len(greens))
 	for i := range green {
 		green[i] = aggs[1+i].stats()
+		proofs[i] = oracleProof(pools[1+i])
 	}
 	if len(green) > 0 {
 		res.Green = green[0]
+		res.GreenProof = proofs[0]
 	}
-	return res, green, nil
+	return res, green, proofs, nil
 }

@@ -178,7 +178,7 @@ func TestRestoreRejectsCraftedState(t *testing.T) {
 		{"next snapshot before interval", "next snapshot time", func(s *Sim) { s.nextSnap = s.snapEvery / 2 }},
 		{"next snapshot at last arrival", "next snapshot time", func(s *Sim) { s.nextSnap, s.lastArrive = 7, 7 }},
 		{"NaN next snapshot", "next snapshot time", func(s *Sim) { s.nextSnap = math.NaN() }},
-		{"interval below next snapshot's precision", "next snapshot time", func(s *Sim) { s.snapEvery, s.nextSnap = 1, 1 << 60 }},
+		{"interval below next snapshot's precision", "next snapshot time", func(s *Sim) { s.snapEvery, s.nextSnap = 1, 1<<60 }},
 		{"NaN free cores", "server cores", func(s *Sim) { s.pools[0].coresFree[0] = math.NaN() }},
 		{"infinite free memory", "server memory", func(s *Sim) { s.pools[1].memFree[0] = math.Inf(-1) }},
 		{"NaN departure", "departure cores", func(s *Sim) { s.deps[0].cores = math.NaN() }},

@@ -266,6 +266,9 @@ func (r *snapReader) fleet(f *fleet) error {
 	f.memFree = make([]float64, n)
 	f.vms = make([]int32, n)
 	f.touched = make([]float64, n)
+	// The snapshot does not record why servers were opened, so nothing
+	// is proven about them (PoolProof).
+	f.forced = make([]bool, n)
 	for id := int32(0); id < n; id++ {
 		if f.coresFree[id], err = r.finite("server cores"); err != nil {
 			return err

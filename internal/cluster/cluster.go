@@ -29,7 +29,9 @@ type Sizer struct {
 	MaxServers int
 	// Audit receives invariant violations from the sizing search and is
 	// forwarded to every allocation simulation it runs. Nil falls back
-	// to the process default (audit.SetDefault).
+	// to the process default (audit.SetDefault). An audited sizing also
+	// replays every probe a proof answered (proof.go), so it runs as
+	// many replays as a plain bisection.
 	Audit audit.Checker
 }
 
@@ -59,20 +61,33 @@ func (s *Sizer) maxServers(tr trace.Trace) int {
 	return 3*n + 8
 }
 
-func (s *Sizer) hosts(ctx context.Context, tr trace.Trace, nBase, nGreen int) (bool, error) {
-	if nBase+nGreen == 0 {
-		return len(tr.VMs) == 0, nil
-	}
-	res, err := s.simulate(ctx, tr, nBase, nGreen, s.Decide)
-	if err != nil {
-		return false, err
-	}
-	return res.Rejected == 0, nil
+// stage returns the proof table of one sizing search: counts maps the
+// searched pool's count (pool 0 the baseline, 1 the GreenSKUs) to the
+// cluster replayed.
+func (s *Sizer) stage(ctx context.Context, tr trace.Trace, what string, pool int, counts func(n int) (nBase, nGreen int)) *proofTable {
+	return newProofTable(audit.Resolve(s.Audit), tr.Name+": "+what, pool, func(n int) (outcome, error) {
+		nBase, nGreen := counts(n)
+		if nBase+nGreen == 0 {
+			// An empty cluster hosts only an empty trace, and uses no
+			// server of either pool.
+			return outcome{fits: len(tr.VMs) == 0, proofs: make([]alloc.PoolProof, 2)}, nil
+		}
+		res, err := s.simulate(ctx, tr, nBase, nGreen, s.Decide)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{fits: res.Rejected == 0, proofs: []alloc.PoolProof{res.BaseProof, res.GreenProof}}, nil
+	})
 }
 
-// searchMin finds the smallest n in [0, hi] for which ok(n) holds,
-// assuming ok is (approximately) monotone; it verifies the result and
-// walks upward if fragmentation breaks monotonicity at the boundary.
+// searchMin is a bisection for the smallest n in [0, hi] at which
+// ok(n) holds. It first requires ok(hi) and fails without it. Since
+// fragmentation can make "fits" non-monotone, the result need not be
+// the smallest such n overall; what the bisection guarantees is a
+// boundary: ok(lo) holds, and ok(lo-1) does not when lo > 0. Sizing
+// probes go through a proof table (proof.go), which answers what
+// earlier replays prove and replays the rest, so the probes, their
+// answers and the result are those of replaying every probe.
 func searchMin(hi int, ok func(int) (bool, error)) (int, error) {
 	if fits, err := ok(hi); err != nil {
 		return 0, err
@@ -106,9 +121,7 @@ func (s *Sizer) RightSizeBaselineContext(ctx context.Context, tr trace.Trace) (i
 	if err := tr.Validate(); err != nil {
 		return 0, err
 	}
-	return searchMin(s.maxServers(tr), func(n int) (bool, error) {
-		return s.hosts(ctx, tr, n, 0)
-	})
+	return s.stage(ctx, tr, "baseline-only count", 0, func(n int) (int, int) { return n, 0 }).search(s.maxServers(tr))
 }
 
 // Mix is a sized mixed cluster.
@@ -140,16 +153,13 @@ func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, erro
 	}
 	// Plenty of green capacity while minimising baseline count.
 	greenCap := s.maxServers(tr)
-	m.NBase, err = searchMin(n0, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, n, greenCap)
-	})
-	if err != nil {
+	kept := s.stage(ctx, tr, "kept baseline count", 0, func(n int) (int, int) { return n, greenCap })
+	if m.NBase, err = kept.search(n0); err != nil {
 		return m, err
 	}
-	m.NGreen, err = searchMin(greenCap, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, m.NBase, n)
-	})
-	if err != nil {
+	green := s.stage(ctx, tr, "GreenSKU count", 1, func(n int) (int, int) { return m.NBase, n })
+	green.carry(greenCap, kept, m.NBase)
+	if m.NGreen, err = green.search(greenCap); err != nil {
 		return m, err
 	}
 	s.auditMix(tr, m)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"github.com/greensku/gsf/internal/alloc"
+	"github.com/greensku/gsf/internal/audit"
 	"github.com/greensku/gsf/internal/trace"
 )
 
@@ -38,33 +39,52 @@ func (s *MultiSizer) maxServers(tr trace.Trace) int {
 	return single.maxServers(tr)
 }
 
-func (s *MultiSizer) hosts(ctx context.Context, tr trace.Trace, nBase int, nGreens []int) (bool, error) {
-	total := nBase
+// simulate replays the trace against nBase baseline servers and
+// nGreens[i] servers of each green pool.
+func (s *MultiSizer) simulate(ctx context.Context, tr trace.Trace, nBase int, nGreens []int) (alloc.MultiResult, error) {
 	pools := make([]alloc.Pool, len(s.Greens))
 	for i, g := range s.Greens {
 		pools[i] = alloc.Pool{Class: g, N: nGreens[i]}
-		total += nGreens[i]
 	}
-	if total == 0 {
-		return len(tr.VMs) == 0, nil
-	}
-	res, err := alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
+	return alloc.SimulateMultiContext(ctx, tr, alloc.MultiConfig{
 		Base:           alloc.Pool{Class: s.Base, N: nBase},
 		Greens:         pools,
 		Policy:         s.Policy,
 		PreferNonEmpty: true,
 	}, s.Decide)
-	if err != nil {
-		return false, err
-	}
-	return res.Rejected == 0, nil
+}
+
+// stage returns the proof table of the search over one pool's count
+// (0 the baseline, i+1 green pool i), the other pools held at counts.
+// Its replays audit through the process default checker, as the
+// MultiSizer's allocation replays do.
+func (s *MultiSizer) stage(ctx context.Context, tr trace.Trace, pool int, counts []int) *proofTable {
+	what := fmt.Sprintf("%s: pool %d count", tr.Name, pool)
+	return newProofTable(audit.Resolve(nil), what, pool, func(n int) (outcome, error) {
+		trial := append([]int(nil), counts...)
+		trial[pool] = n
+		total := 0
+		for _, c := range trial {
+			total += c
+		}
+		if total == 0 {
+			return outcome{fits: len(tr.VMs) == 0, proofs: make([]alloc.PoolProof, len(trial))}, nil
+		}
+		res, err := s.simulate(ctx, tr, trial[0], trial[1:])
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{fits: res.Rejected == 0, proofs: append([]alloc.PoolProof{res.BaseProof}, res.GreenProofs...)}, nil
+	})
 }
 
 // Size right-sizes the multi-SKU cluster: minimal baseline count with
 // all green pools abundant, then each green pool minimised in turn
 // (later pools abundant while earlier ones are fixed). Pool order is
 // the preference order the decider uses, so earlier pools absorb the
-// workload they are preferred for.
+// workload they are preferred for. Each search is a bisection through
+// a proof table, like Sizer's; the last search's boundary guarantee
+// (searchMin) means the returned cluster hosts the trace.
 func (s *MultiSizer) Size(tr trace.Trace) (MultiMix, error) {
 	return s.SizeContext(context.Background(), tr)
 }
@@ -85,40 +105,27 @@ func (s *MultiSizer) SizeContext(ctx context.Context, tr trace.Trace) (MultiMix,
 	}
 	m.BaselineOnly = n0
 	cap := s.maxServers(tr)
-	abundant := make([]int, len(s.Greens))
-	for i := range abundant {
-		abundant[i] = cap
+	// counts is the cluster being sized, baseline first: every green
+	// pool abundant until its own search.
+	counts := make([]int, 1+len(s.Greens))
+	for i := range s.Greens {
+		counts[1+i] = cap
 	}
 
-	m.NBase, err = searchMin(n0, func(n int) (bool, error) {
-		return s.hosts(ctx, tr, n, abundant)
-	})
-	if err != nil {
+	t := s.stage(ctx, tr, 0, counts)
+	if counts[0], err = t.search(n0); err != nil {
 		return m, err
 	}
-
-	m.NGreens = make([]int, len(s.Greens))
-	copy(m.NGreens, abundant)
-	for i := range s.Greens {
-		idx := i
-		m.NGreens[idx], err = searchMin(cap, func(n int) (bool, error) {
-			trial := make([]int, len(m.NGreens))
-			copy(trial, m.NGreens)
-			trial[idx] = n
-			return s.hosts(ctx, tr, m.NBase, trial)
-		})
-		if err != nil {
+	for pool := 1; pool < len(counts); pool++ {
+		prev := t
+		t = s.stage(ctx, tr, pool, counts)
+		t.carry(cap, prev, counts[pool-1])
+		if counts[pool], err = t.search(cap); err != nil {
 			return m, err
 		}
 	}
-	// The sequential minimisation can strand capacity: verify.
-	ok, err := s.hosts(ctx, tr, m.NBase, m.NGreens)
-	if err != nil {
-		return m, err
-	}
-	if !ok {
-		return m, fmt.Errorf("cluster: multi-SKU sizing failed verification")
-	}
+	m.NBase = counts[0]
+	m.NGreens = counts[1:]
 	return m, nil
 }
 

@@ -13,10 +13,12 @@ import (
 // tests can express exactly one defect per case.
 type binBuilder struct{ buf []byte }
 
-func (b *binBuilder) uvarint(v uint64)  { b.buf = binary.AppendUvarint(b.buf, v) }
-func (b *binBuilder) raw(p ...byte)     { b.buf = append(b.buf, p...) }
-func (b *binBuilder) str(s string)      { b.buf = append(b.buf, s...) }
-func (b *binBuilder) f64bits(f float64) { b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(f)) }
+func (b *binBuilder) uvarint(v uint64) { b.buf = binary.AppendUvarint(b.buf, v) }
+func (b *binBuilder) raw(p ...byte)    { b.buf = append(b.buf, p...) }
+func (b *binBuilder) str(s string)     { b.buf = append(b.buf, s...) }
+func (b *binBuilder) f64bits(f float64) {
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(f))
+}
 
 func (b *binBuilder) header(name string, horizon float64, count uint64) {
 	b.str(binaryMagic)
