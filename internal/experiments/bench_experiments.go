@@ -11,17 +11,20 @@ package experiments
 // the index actually being faster.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"time"
 
 	"github.com/greensku/gsf/internal/alloc"
 	"github.com/greensku/gsf/internal/hw"
 	"github.com/greensku/gsf/internal/perf"
 	"github.com/greensku/gsf/internal/queueing"
+	"github.com/greensku/gsf/internal/stats"
 	"github.com/greensku/gsf/internal/trace"
 )
 
@@ -203,40 +206,60 @@ type KneeBenchResult struct {
 	Seconds        float64 `json:"seconds"`
 }
 
+// ArmTiming summarises one benchmark arm's repeated wall-clock times.
+type ArmTiming struct {
+	Runs    int       `json:"runs"`
+	Median  float64   `json:"median_s"`
+	Min     float64   `json:"min_s"`
+	IQR     float64   `json:"iqr_s"`
+	Seconds []float64 `json:"seconds"`
+}
+
+func armTiming(secs []float64) ArmTiming {
+	q := func(p float64) float64 { return stats.Percentile(secs, p) }
+	return ArmTiming{Runs: len(secs), Median: q(50), Min: q(0), IQR: q(75) - q(25), Seconds: secs}
+}
+
 // QueueKernelBenchResult is the queueing-kernel benchmark's
 // measurement: the TableIII profiling sweep over the green-SKU catalog
-// through three kernels. The batch arm is the default kernel (batched
-// SoA event loop plus everything below); the fast arm is the prior
-// scalar kernel (Config.ReferenceEventLoop with ziggurat sampling,
-// single-sort statistics, SLO memoization); the reference arm is a
+// through three kernels. The batch arm is the production kernel
+// (batched SoA event loop, process-wide SLO memo, cold at the start of
+// every run); the fast arm is the scalar loop it replaced
+// (queueing.RunOracle with ziggurat sampling, via perf.TableIIIOracle
+// with its call-local SLO memo); the reference arm is a
 // reference-shaped run (scalar loop, bit-exact samplers, no memo,
 // serial) approximating the pre-optimization kernel.
 type QueueKernelBenchResult struct {
-	SKUs             []string `json:"skus"`
-	Cells            int      `json:"cells"`
-	Requests         int      `json:"requests"`
-	BatchSeconds     float64  `json:"batch_seconds"`
-	FastSeconds      float64  `json:"fast_seconds"`
-	ReferenceSeconds float64  `json:"reference_seconds"`
+	SKUs      []string  `json:"skus"`
+	Cells     int       `json:"cells"`
+	Requests  int       `json:"requests"`
+	Batch     ArmTiming `json:"batch"`
+	Fast      ArmTiming `json:"fast"`
+	Reference ArmTiming `json:"reference"`
 	// BatchSpeedup is fast/batch: what the batched event loop buys
 	// over the prior fast kernel. Speedup is reference/fast, the PR 5
-	// gate, and CumulativeSpeedup is reference/batch.
-	BatchSpeedup      float64         `json:"batch_speedup"`
-	Speedup           float64         `json:"speedup"`
-	CumulativeSpeedup float64         `json:"cumulative_speedup"`
-	FactorsIdentical  bool            `json:"factors_identical"`
-	SLOCacheHits      int64           `json:"slo_cache_hits"`
-	SLOCacheMisses    int64           `json:"slo_cache_misses"`
-	Knee              KneeBenchResult `json:"knee"`
+	// gate, and CumulativeSpeedup is reference/batch. All three are
+	// ratios of the arms' median times.
+	BatchSpeedup      float64 `json:"batch_speedup"`
+	Speedup           float64 `json:"speedup"`
+	CumulativeSpeedup float64 `json:"cumulative_speedup"`
+	FactorsIdentical  bool    `json:"factors_identical"`
+	// SLOCacheHits/Misses count one batch run's process-wide SLO memo
+	// lookups; FastSLOCacheHits/Misses one fast run's call-local memo.
+	SLOCacheHits       int64           `json:"slo_cache_hits"`
+	SLOCacheMisses     int64           `json:"slo_cache_misses"`
+	FastSLOCacheHits   int64           `json:"fast_slo_cache_hits"`
+	FastSLOCacheMisses int64           `json:"fast_slo_cache_misses"`
+	Knee               KneeBenchResult `json:"knee"`
 }
 
 // QueueKernelBench profiles every green SKU in the catalog against all
-// three baseline generations (the Table III protocol), once per kernel
-// arm (batched, fast-scalar, reference-shaped), and verifies all three
-// produce identical factor matrices — the fast paths may change
-// latencies in distribution, but they must never flip a factor bin.
-// (Batched versus the scalar loop is in fact bit-identical; the
-// queueing differential wall proves that stronger property.)
+// three baseline generations (the Table III protocol), repeatedly
+// through each kernel arm (batched, fast-scalar, reference-shaped), and
+// verifies every run produces the same factor matrices — the fast paths
+// may change latencies in distribution, but they must never flip a
+// factor bin. (Batched versus the scalar loop is in fact bit-identical;
+// the queueing differential wall proves that stronger property.)
 func QueueKernelBench(ctx context.Context, opt QueueKernelBenchOptions) (QueueKernelBenchResult, error) {
 	greens := []hw.SKU{hw.GreenSKUEfficient(), hw.GreenSKUCXL(), hw.GreenSKUFull()}
 
@@ -250,63 +273,72 @@ func QueueKernelBench(ctx context.Context, opt QueueKernelBenchOptions) (QueueKe
 
 	res := QueueKernelBenchResult{Requests: popt.Requests, FactorsIdentical: true}
 
-	sweep := func(o perf.Options) ([]map[string]map[int]perf.Factor, float64, error) {
-		out := make([]map[string]map[int]perf.Factor, 0, len(greens))
-		start := time.Now()
-		for _, g := range greens {
-			m, err := perf.TableIIIContext(ctx, g, o)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, m)
-		}
-		return out, time.Since(start).Seconds(), nil
-	}
-
-	// Batch arm: the default kernel (batched SoA event loop).
-	perf.ResetSLOCache()
-	batch, batchSec, err := sweep(popt)
-	if err != nil {
-		return QueueKernelBenchResult{}, err
-	}
-	res.SLOCacheHits, res.SLOCacheMisses = perf.SLOCacheStats()
-
-	// Fast arm: the prior scalar kernel, everything else equal.
-	fopt := popt
-	fopt.ReferenceEventLoop = true
-	perf.ResetSLOCache()
-	fast, fastSec, err := sweep(fopt)
-	if err != nil {
-		return QueueKernelBenchResult{}, err
-	}
-
+	type tables = []map[string]map[int]perf.Factor
 	ref := popt
-	ref.Workers = 1
-	ref.ReferenceSampling = true
-	ref.ReferenceEventLoop = true
-	ref.DisableSLOMemo = true
-	reference, refSec, err := sweep(ref)
-	if err != nil {
-		return QueueKernelBenchResult{}, err
+	ref.Workers, ref.DisableSLOMemo = 1, true
+	arms := [...]func() (tables, error){
+		func() (tables, error) { // batch: the production kernel from a cold process-wide memo
+			perf.ResetSLOCache()
+			out := make(tables, len(greens))
+			for i, g := range greens {
+				var err error
+				if out[i], err = perf.TableIIIContext(ctx, g, popt); err != nil {
+					return nil, err
+				}
+			}
+			res.SLOCacheHits, res.SLOCacheMisses = perf.SLOCacheStats()
+			return out, nil
+		},
+		func() (tables, error) { // fast: the scalar loop with ziggurat sampling, everything else equal
+			out, hits, misses, err := perf.TableIIIOracle(ctx, greens, popt, false)
+			res.FastSLOCacheHits, res.FastSLOCacheMisses = hits, misses
+			return out, err
+		},
+		func() (tables, error) { // reference: bit-exact samplers, serial, unmemoized
+			out, _, _, err := perf.TableIIIOracle(ctx, greens, ref, true)
+			return out, err
+		},
+	}
+	// After one untimed warm-up round, each round runs the batch arm
+	// then the fast arm, so drift on a shared machine hits both alike;
+	// the first refRounds rounds also time the much slower reference
+	// arm. Every run must reproduce the first run's factors.
+	const rounds, refRounds = 5, 3
+	var secs [len(arms)][]float64
+	var want tables
+	for round := 0; round <= rounds; round++ {
+		for arm, run := range arms {
+			if arm == len(arms)-1 && (round == 0 || round > refRounds) {
+				continue
+			}
+			start := time.Now()
+			got, err := run()
+			if err != nil {
+				return QueueKernelBenchResult{}, err
+			}
+			if round > 0 {
+				secs[arm] = append(secs[arm], time.Since(start).Seconds())
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				res.FactorsIdentical = false
+			}
+		}
 	}
 
-	res.BatchSeconds, res.FastSeconds, res.ReferenceSeconds = batchSec, fastSec, refSec
-	if batchSec > 0 {
-		res.BatchSpeedup = fastSec / batchSec
-		res.CumulativeSpeedup = refSec / batchSec
+	res.Batch, res.Fast, res.Reference = armTiming(secs[0]), armTiming(secs[1]), armTiming(secs[2])
+	if b := res.Batch.Median; b > 0 {
+		res.BatchSpeedup = res.Fast.Median / b
+		res.CumulativeSpeedup = res.Reference.Median / b
 	}
-	if fastSec > 0 {
-		res.Speedup = refSec / fastSec
+	if f := res.Fast.Median; f > 0 {
+		res.Speedup = res.Reference.Median / f
 	}
 	for i, g := range greens {
 		res.SKUs = append(res.SKUs, g.Name)
-		for app, gens := range batch[i] {
+		for _, gens := range want[i] {
 			res.Cells += len(gens)
-			for gen, f := range gens {
-				if fast[i][app][gen] != f || reference[i][app][gen] != f {
-					res.FactorsIdentical = false
-				}
-			}
 		}
 	}
 
@@ -342,15 +374,8 @@ type QueueArtifact struct {
 
 // WriteQueueArtifact encodes the artifact as indented JSON.
 func WriteQueueArtifact(w io.Writer, a QueueArtifact) error {
-	if a.Schema == "" {
-		a.Schema = BenchSchema
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(a); err != nil {
-		return fmt.Errorf("experiments: encoding queue artifact: %w", err)
-	}
-	return nil
+	a.Schema = cmp.Or(a.Schema, BenchSchema)
+	return writeArtifact(w, "queue", a)
 }
 
 // BenchArtifact is the BENCH_alloc.json schema: one allocation sweep
@@ -370,13 +395,16 @@ const BenchSchema = "gsf-bench/v1"
 
 // WriteBenchArtifact encodes the artifact as indented JSON.
 func WriteBenchArtifact(w io.Writer, a BenchArtifact) error {
-	if a.Schema == "" {
-		a.Schema = BenchSchema
-	}
+	a.Schema = cmp.Or(a.Schema, BenchSchema)
+	return writeArtifact(w, "bench", a)
+}
+
+// writeArtifact encodes a BENCH artifact as indented JSON.
+func writeArtifact(w io.Writer, kind string, a any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(a); err != nil {
-		return fmt.Errorf("experiments: encoding bench artifact: %w", err)
+		return fmt.Errorf("experiments: encoding %s artifact: %w", kind, err)
 	}
 	return nil
 }

@@ -14,8 +14,8 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -150,13 +150,6 @@ type ScaleArtifact struct {
 
 // WriteScaleArtifact encodes the artifact as indented JSON.
 func WriteScaleArtifact(w io.Writer, a ScaleArtifact) error {
-	if a.Schema == "" {
-		a.Schema = BenchSchema
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(a); err != nil {
-		return fmt.Errorf("experiments: encoding scale artifact: %w", err)
-	}
-	return nil
+	a.Schema = cmp.Or(a.Schema, BenchSchema)
+	return writeArtifact(w, "scale", a)
 }

@@ -131,21 +131,10 @@ type Options struct {
 	// way, so Workers never changes an answer (and is excluded from
 	// ProfileKey and the SLO memo key).
 	Workers int
-	// ReferenceSampling forces the queueing simulator's bit-exact
-	// reference samplers (see queueing.Config.ReferenceSampling). It
-	// changes simulated latencies at the last few significant digits,
-	// so it is part of every memo key.
-	ReferenceSampling bool
-	// ReferenceEventLoop forces the queueing simulator's retained
-	// scalar event loop (see queueing.Config.ReferenceEventLoop). The
-	// batched loop is bit-identical, so this is a differential-testing
-	// knob — but it is still part of every memo key, because a memo
-	// must never launder one kernel's answer as the other's.
-	ReferenceEventLoop bool
-	// DisableSLOMemo bypasses the process-wide SLO memoization, forcing
-	// every ScalingFactor call to re-simulate its baseline SLO point.
-	// Benchmarks use it to measure the unmemoized kernel; results are
-	// identical either way.
+	// DisableSLOMemo bypasses SLO memoization (the process-wide memo,
+	// and TableIIIOracle's call-local one), forcing every ScalingFactor
+	// call to re-simulate its baseline SLO point. Benchmarks use it to
+	// measure the unmemoized kernel; results are identical either way.
 	DisableSLOMemo bool
 }
 
@@ -195,12 +184,10 @@ func SLOCacheStats() (hits, misses int64) { return sloCache.Load().Stats() }
 // only in the green-side search share the same baseline point.
 func sloKey(a apps.App, baseline hw.SKU, opt Options) string {
 	k := Options{
-		BaselineCores:      opt.BaselineCores,
-		LoadFraction:       opt.LoadFraction,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
+		BaselineCores: opt.BaselineCores,
+		LoadFraction:  opt.LoadFraction,
+		Requests:      opt.Requests,
+		Seed:          opt.Seed,
 	}
 	return fmt.Sprintf("%#v|%#v|%#v", a, baseline, k)
 }
@@ -217,14 +204,33 @@ func SLO(a apps.App, baseline hw.SKU, opt Options) (p95 float64, load float64, e
 // the same point share one simulation (singleflight), and errors are
 // never cached.
 func SLOContext(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (p95 float64, load float64, err error) {
+	return slo(ctx, a, baseline, opt, queueing.RunContext, opt.sloMemo())
+}
+
+// kernel runs one queueing simulation: queueing.RunContext in
+// production, a queueing.RunOracle arm under TableIIIOracle.
+type kernel func(context.Context, queueing.Config) (queueing.Result, error)
+
+// sloMemo returns the process-wide SLO memo, or nil when opt disables
+// memoization.
+func (opt Options) sloMemo() *engine.Cache[sloPoint] {
+	if opt.DisableSLOMemo {
+		return nil
+	}
+	return sloCache.Load()
+}
+
+// slo serves one SLO point from memo, simulating it through run on a
+// miss; a nil memo simulates every call.
+func slo(ctx context.Context, a apps.App, baseline hw.SKU, opt Options, run kernel, memo *engine.Cache[sloPoint]) (p95 float64, load float64, err error) {
 	if !a.LatencyCritical {
 		return 0, 0, fmt.Errorf("perf: %s is not latency-critical; use ThroughputSlowdown", a.Name)
 	}
-	if opt.DisableSLOMemo {
-		return sloRun(ctx, a, baseline, opt)
+	if memo == nil {
+		return sloRun(ctx, a, baseline, opt, run)
 	}
-	pt, err := sloCache.Load().Do(sloKey(a, baseline, opt), func() (sloPoint, error) {
-		p95, load, err := sloRun(ctx, a, baseline, opt)
+	pt, err := memo.Do(sloKey(a, baseline, opt), func() (sloPoint, error) {
+		p95, load, err := sloRun(ctx, a, baseline, opt, run)
 		return sloPoint{P95: p95, Load: load}, err
 	})
 	if err != nil {
@@ -234,17 +240,15 @@ func SLOContext(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (
 }
 
 // sloRun performs the actual baseline SLO simulation.
-func sloRun(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (p95 float64, load float64, err error) {
+func sloRun(ctx context.Context, a apps.App, baseline hw.SKU, opt Options, run kernel) (p95 float64, load float64, err error) {
 	s := queueing.LogNormal{MeanSeconds: ServiceTime(a, ProfileOf(baseline, false)), CV: a.CV}
 	load = opt.LoadFraction * queueing.Capacity(opt.BaselineCores, s)
-	res, err := queueing.RunContext(ctx, queueing.Config{
-		Servers:            opt.BaselineCores,
-		ArrivalRate:        load,
-		Service:            s,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
+	res, err := run(ctx, queueing.Config{
+		Servers:     opt.BaselineCores,
+		ArrivalRate: load,
+		Service:     s,
+		Requests:    opt.Requests,
+		Seed:        opt.Seed,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -256,11 +260,12 @@ func sloRun(ctx context.Context, a apps.App, baseline hw.SKU, opt Options) (p95 
 // smallest GreenSKU VM size in opt.CoreSteps whose p95 at the
 // baseline's SLO load stays within the SLO.
 func ScalingFactor(a apps.App, green, baseline hw.SKU, cxlBacked bool, opt Options) (Factor, error) {
-	return ScalingFactorContext(context.Background(), a, green, baseline, cxlBacked, opt)
+	return scalingFactor(context.Background(), a, green, baseline, cxlBacked, opt, queueing.RunContext, opt.sloMemo())
 }
 
-// ScalingFactorContext is ScalingFactor with cancellation.
-func ScalingFactorContext(ctx context.Context, a apps.App, green, baseline hw.SKU, cxlBacked bool, opt Options) (Factor, error) {
+// scalingFactor is ScalingFactor with cancellation, through the given
+// kernel, with the SLO point served from memo (nil: simulated).
+func scalingFactor(ctx context.Context, a apps.App, green, baseline hw.SKU, cxlBacked bool, opt Options, run kernel, memo *engine.Cache[sloPoint]) (Factor, error) {
 	f := Factor{App: a.Name, Baseline: baseline.Name}
 	if !a.LatencyCritical {
 		// Throughput apps scale linearly with cores: bin the
@@ -268,7 +273,7 @@ func ScalingFactorContext(ctx context.Context, a apps.App, green, baseline hw.SK
 		slow := Slowdown(a, ProfileOf(green, cxlBacked), ProfileOf(baseline, false))
 		return binSlowdown(f, slow, opt), nil
 	}
-	slo, load, err := SLOContext(ctx, a, baseline, opt)
+	target, load, err := slo(ctx, a, baseline, opt, run, memo)
 	if err != nil {
 		return Factor{}, err
 	}
@@ -284,19 +289,17 @@ func ScalingFactorContext(ctx context.Context, a apps.App, green, baseline hw.SK
 		}
 		// Latency criterion: the simulated p95 at the SLO load must
 		// not blow past the knee.
-		res, err := queueing.RunContext(ctx, queueing.Config{
-			Servers:            cores,
-			ArrivalRate:        load,
-			Service:            s,
-			Requests:           opt.Requests,
-			Seed:               opt.Seed,
-			ReferenceSampling:  opt.ReferenceSampling,
-			ReferenceEventLoop: opt.ReferenceEventLoop,
+		res, err := run(ctx, queueing.Config{
+			Servers:     cores,
+			ArrivalRate: load,
+			Service:     s,
+			Requests:    opt.Requests,
+			Seed:        opt.Seed,
 		})
 		if err != nil {
 			return Factor{}, err
 		}
-		if !res.Saturated && res.P95 <= slo*opt.SLOSlack {
+		if !res.Saturated && res.P95 <= target*opt.SLOSlack {
 			f.Value = scale
 			f.Adoptable = true
 			return f, nil
@@ -333,11 +336,44 @@ func TableIII(green hw.SKU, opt Options) (map[string]map[int]Factor, error) {
 // evaluation engine (opt.Workers bounds the pool); results are slotted
 // by cell index, making the parallel table identical to the serial one.
 func TableIIIContext(ctx context.Context, green hw.SKU, opt Options) (map[string]map[int]Factor, error) {
+	return factorMatrix(ctx, green, opt, queueing.RunContext, opt.sloMemo())
+}
+
+// TableIIIOracle computes TableIII for each green SKU, in order,
+// through the scalar oracle kernel (queueing.RunOracle with the given
+// sampling mode) instead of the production one. It is the queueing
+// kernel benchmark's fast and reference arm. It never touches the
+// process-wide SLO memo: unless opt.DisableSLOMemo is set, SLO points
+// are memoized in a cache local to the call and shared across greens,
+// whose hit and miss counts it returns.
+func TableIIIOracle(ctx context.Context, greens []hw.SKU, opt Options, referenceSampling bool) (tables []map[string]map[int]Factor, hits, misses int64, err error) {
+	run := func(ctx context.Context, cfg queueing.Config) (queueing.Result, error) {
+		return queueing.RunOracle(ctx, cfg, referenceSampling)
+	}
+	var memo *engine.Cache[sloPoint]
+	if !opt.DisableSLOMemo {
+		memo = engine.NewCache[sloPoint](DefaultSLOCacheEntries)
+	}
+	for _, g := range greens {
+		t, err := factorMatrix(ctx, g, opt, run, memo)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		tables = append(tables, t)
+	}
+	if memo != nil {
+		hits, misses = memo.Stats()
+	}
+	return tables, hits, misses, nil
+}
+
+// factorMatrix is TableIIIContext through the given kernel and SLO memo.
+func factorMatrix(ctx context.Context, green hw.SKU, opt Options, run kernel, memo *engine.Cache[sloPoint]) (map[string]map[int]Factor, error) {
 	all := apps.All()
 	cells := engine.Map(ctx, opt.Workers, len(all)*3, func(ctx context.Context, i int) (Factor, error) {
 		a := all[i/3]
 		gen := i%3 + 1
-		return ScalingFactorContext(ctx, a, green, hw.BaselineForGeneration(gen), false, opt)
+		return scalingFactor(ctx, a, green, hw.BaselineForGeneration(gen), false, opt, run, memo)
 	})
 	factors, err := engine.Collect(cells)
 	if err != nil {
@@ -382,13 +418,11 @@ func ThroughputSlowdown(a apps.App, sku hw.SKU, cxlBacked bool) float64 {
 func LowLoadLatency(a apps.App, sku hw.SKU, cores int, cxlBacked bool, opt Options) (float64, error) {
 	s := queueing.LogNormal{MeanSeconds: ServiceTime(a, ProfileOf(sku, cxlBacked)), CV: a.CV}
 	res, err := queueing.Run(queueing.Config{
-		Servers:            cores,
-		ArrivalRate:        0.3 * queueing.Capacity(cores, s),
-		Service:            s,
-		Requests:           opt.Requests,
-		Seed:               opt.Seed,
-		ReferenceSampling:  opt.ReferenceSampling,
-		ReferenceEventLoop: opt.ReferenceEventLoop,
+		Servers:     cores,
+		ArrivalRate: 0.3 * queueing.Capacity(cores, s),
+		Service:     s,
+		Requests:    opt.Requests,
+		Seed:        opt.Seed,
 	})
 	if err != nil {
 		return 0, err

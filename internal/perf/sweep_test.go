@@ -89,21 +89,63 @@ func TestSLOMemoDisabledMatchesEnabled(t *testing.T) {
 	}
 }
 
+// TestSLOKeySeparatesSamplingModes pins that sampling and kernel modes
+// cannot share an SLO memo entry although the key carries no kernel
+// bit: the oracle arms memoize in a cache local to each TableIIIOracle
+// call and leave the process-wide memo untouched. It also pins the
+// oracle's memo accounting (each unique SLO point simulated once per
+// call, none with DisableSLOMemo) and that the fast-sampling oracle
+// reproduces the production tables exactly.
 func TestSLOKeySeparatesSamplingModes(t *testing.T) {
+	ctx := context.Background()
 	opt := DefaultOptions()
-	a := apps.All()[0]
-	base := hw.BaselineGen3()
-	ref := opt
-	ref.ReferenceSampling = true
-	if sloKey(a, base, opt) == sloKey(a, base, ref) {
-		t.Fatal("fast and reference sampling share an SLO memo key")
+	opt.Requests = 8000
+	greens := []hw.SKU{hw.GreenSKUFull(), hw.GreenSKUCXL()}
+	points := 0
+	for _, a := range apps.All() {
+		if a.LatencyCritical {
+			points += 3 // one SLO point per baseline generation
+		}
 	}
-	// Execution knobs must not split the key.
-	w := opt
-	w.Workers = 7
-	w.DisableSLOMemo = false
-	if sloKey(a, base, opt) != sloKey(a, base, w) {
-		t.Fatal("Workers changed the SLO memo key")
+
+	ResetSLOCache()
+	ref, rh, rm, err := TableIIIOracle(ctx, greens, opt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, fh, fm, err := TableIIIOracle(ctx, greens, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := SLOCacheStats(); h != 0 || m != 0 {
+		t.Fatalf("oracle runs touched the process-wide SLO memo: hits=%d misses=%d", h, m)
+	}
+	for _, c := range []struct {
+		name         string
+		hits, misses int64
+	}{{"reference", rh, rm}, {"fast", fh, fm}} {
+		if c.misses != int64(points) || c.hits != int64(points*(len(greens)-1)) {
+			t.Errorf("%s oracle memo: hits=%d misses=%d, want %d/%d",
+				c.name, c.hits, c.misses, points*(len(greens)-1), points)
+		}
+	}
+	if len(ref) != len(greens) {
+		t.Fatalf("reference oracle returned %d tables for %d greens", len(ref), len(greens))
+	}
+	for i, g := range greens {
+		want, err := TableIIIContext(ctx, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, fast[i]) {
+			t.Fatalf("%s: fast oracle table differs from production:\nproduction: %v\noracle:     %v", g.Name, want, fast[i])
+		}
+	}
+
+	raw := opt
+	raw.DisableSLOMemo = true
+	if _, h, m, err := TableIIIOracle(ctx, greens[:1], raw, false); err != nil || h != 0 || m != 0 {
+		t.Fatalf("DisableSLOMemo oracle: hits=%d misses=%d err=%v, want 0/0/nil", h, m, err)
 	}
 }
 

@@ -6,8 +6,9 @@ package queueing
 // ziggurat bulk fillers and then sweeps the batch through a tight,
 // allocation-free dispatch loop.
 //
-// Bit-identity with the scalar reference loop (Config.ReferenceEventLoop)
-// rests on three facts, each proven by a differential test:
+// Bit-identity with the scalar loop it replaced (RunOracle with
+// referenceSampling false) rests on three facts, each proven by a
+// differential test:
 //
 //  1. The bulk fillers interleave (gap, service) draws per request in
 //     the exact scalar order — the ziggurat consumes a variable number
@@ -54,14 +55,11 @@ type eventBuf struct {
 
 var eventBufPool = sync.Pool{New: func() any { return new(eventBuf) }}
 
-// runBatched is the default event loop behind Run/RunContext.
+// runBatched is the event loop behind Run/RunContext.
 func runBatched(ctx context.Context, cfg Config) (Result, error) {
 	r := stats.NewRNG(cfg.Seed)
 	chk := audit.Resolve(cfg.Audit)
-	var sampler Sampler
-	if !cfg.ReferenceSampling {
-		sampler = cfg.Service.Prepare(false)
-	}
+	sampler := cfg.Service.Prepare()
 
 	buf := getLatencyBuf(cfg.Requests)
 	latencies := *buf
@@ -100,7 +98,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 			n = eventBatch
 		}
 		gaps, svc := eb.gaps[:n:n], eb.svc[:n:n]
-		fillEvents(cfg, sampler, r, gaps, svc, meanIA)
+		fillEvents(sampler, r, gaps, svc, meanIA)
 
 		switch {
 		case chk == nil && cal != nil:
@@ -164,16 +162,23 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 
-	// Saturation signal: read in arrival order before SummarizeSelect
-	// partitions the buffer in place, exactly as the scalar loop reads
-	// it before Summarize sorts.
+	return finish(chk, cfg, latencies, stats.SummarizeSelect), nil
+}
+
+// finish builds a run's Result from its measured latencies in arrival
+// order and the summary function that reduces them (which may reorder
+// the buffer in place), and audits the percentile order.
+func finish(chk audit.Checker, cfg Config, latencies []float64, summarize func([]float64) stats.Summary) Result {
+	// Saturation: the measured window's tail grows relative to its
+	// head, the signature of an unstable queue in a finite run. Read in
+	// arrival order, before summarize reorders the buffer.
 	var head, tail float64
 	q := len(latencies) / 4
 	if q > 0 {
 		head = stats.Mean(latencies[:q])
 		tail = stats.Mean(latencies[len(latencies)-q:])
 	}
-	sum := stats.SummarizeSelect(latencies)
+	sum := summarize(latencies)
 	res := Result{
 		Offered:     cfg.ArrivalRate,
 		P50:         sum.P50,
@@ -182,30 +187,17 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 		Mean:        sum.Mean,
 		Utilization: cfg.ArrivalRate * cfg.Service.Mean() / float64(cfg.Servers),
 	}
-	if q > 0 && (res.Utilization >= 1 || tail > 3*head) {
-		res.Saturated = true
+	res.Saturated = q > 0 && (res.Utilization >= 1 || tail > 3*head)
+	if chk != nil && (!(res.P50 <= res.P95+audit.SimTol) || !(res.P95 <= res.P99+audit.SimTol)) {
+		audit.Failf(chk, "queueing", "percentile-order",
+			"latency percentiles unordered: P50=%g P95=%g P99=%g", res.P50, res.P95, res.P99)
 	}
-	if chk != nil {
-		if !(res.P50 <= res.P95+audit.SimTol) || !(res.P95 <= res.P99+audit.SimTol) {
-			audit.Failf(chk, "queueing", "percentile-order",
-				"latency percentiles unordered: P50=%g P95=%g P99=%g", res.P50, res.P95, res.P99)
-		}
-	}
-	return res, nil
+	return res
 }
 
 // fillEvents fills one batch of arrival gaps and service times,
 // consuming the RNG in exactly the scalar loop's per-request order.
-func fillEvents(cfg Config, sampler Sampler, r *stats.RNG, gaps, svc []float64, meanIA float64) {
-	if cfg.ReferenceSampling {
-		// Reference draw order: one reference Exp then one reference
-		// service sample per request, parameters re-derived per sample.
-		for k := range gaps {
-			gaps[k] = r.Exp(meanIA)
-			svc[k] = cfg.Service.Sample(r)
-		}
-		return
-	}
+func fillEvents(sampler Sampler, r *stats.RNG, gaps, svc []float64, meanIA float64) {
 	switch s := sampler.(type) {
 	case fastLogNormal:
 		r.FillExpLogNormal(gaps, meanIA, svc, s.mu, s.sigma)
@@ -227,8 +219,11 @@ func fillEvents(cfg Config, sampler Sampler, r *stats.RNG, gaps, svc []float64, 
 	}
 }
 
-// auditEvent applies the scalar loop's per-request invariants to one
-// batched event, with identical check order and messages.
+// auditEvent checks one request's invariants: samples must stay in the
+// distributions' domain (a broken fast sampler would surface here), the
+// event clock may only move forward, a request may not start before it
+// arrives or complete before it starts, and its latency includes at
+// least its own service time.
 func auditEvent(chk audit.Checker, i int, s, prev, now, start, done float64) {
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		audit.Failf(chk, "queueing", "sample-domain",

@@ -1,12 +1,11 @@
 package queueing
 
 // The batched-kernel differential wall: the batched structure-of-arrays
-// event loop must produce bit-identical Results to the retained scalar
-// loop (Config.ReferenceEventLoop) for every seed, both sampling modes,
-// and both server-index structures (heap below calendarMinServers,
-// calendar queue above). Every run executes under the package
-// TestMain's audit recorder, so the wall doubles as the
-// zero-violations audit sweep the acceptance criteria require.
+// event loop must produce bit-identical Results to the scalar loop it
+// replaced (RunOracle with fast sampling) for every seed and both
+// server-index structures (heap below calendarMinServers, calendar
+// queue above). Every run executes under the package TestMain's audit
+// recorder, so the wall doubles as a zero-violations audit sweep.
 
 import (
 	"context"
@@ -33,26 +32,16 @@ func batchDiffConfigs() []Config {
 }
 
 // TestBatchedMatchesReferenceEventLoop35Seeds is the acceptance wall:
-// batched == scalar, bit for bit, with and without ReferenceSampling,
-// across 35 seeds.
+// batched == scalar oracle, bit for bit, on every config across 35
+// seeds.
 func TestBatchedMatchesReferenceEventLoop35Seeds(t *testing.T) {
-	for ci, base := range batchDiffConfigs() {
-		for _, refSampling := range []bool{false, true} {
-			if refSampling && testing.Short() {
-				continue
-			}
-			for seed := uint64(1); seed <= 35; seed++ {
-				bcfg := base
-				bcfg.Seed = seed
-				bcfg.ReferenceSampling = refSampling
-				rcfg := bcfg
-				rcfg.ReferenceEventLoop = true
-				batched := run(t, bcfg)
-				scalar := run(t, rcfg)
-				if batched != scalar {
-					t.Fatalf("config %d seed %d refSampling=%v: batched %+v != scalar %+v",
-						ci, seed, refSampling, batched, scalar)
-				}
+	for ci, cfg := range batchDiffConfigs() {
+		for seed := uint64(1); seed <= 35; seed++ {
+			cfg.Seed = seed
+			batched := run(t, cfg)
+			scalar := runOracle(t, cfg, false)
+			if batched != scalar {
+				t.Fatalf("config %d seed %d: batched %+v != scalar %+v", ci, seed, batched, scalar)
 			}
 		}
 	}
@@ -67,9 +56,8 @@ func TestBatchedKneeSearchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcfg := cfg
-		rcfg.ReferenceEventLoop = true
-		kr, err := KneeSearch(context.Background(), rcfg, 0.5, 1.3, 0.02)
+		kr, err := kneeSearch(context.Background(), cfg, 0.5, 1.3, 0.02,
+			func(ctx context.Context, c Config) (Result, error) { return RunOracle(ctx, c, false) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,33 +148,22 @@ func TestAuditCalendarDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestBatchedRunSteadyStateAllocs pins the batched loop's per-run
-// allocation count with a warm pool, for both index structures. The
-// calendar config allows for its bucket ring (allocated per run and
-// grown by appends); the heap config stays in single digits like the
-// scalar loop.
+// TestBatchedRunSteadyStateAllocs pins the per-run allocation count of
+// the calendar index with a warm pool. It allows for the bucket ring
+// (allocated per run and grown by appends); TestRunSteadyStateAllocs
+// holds the heap index to single digits.
 func TestBatchedRunSteadyStateAllocs(t *testing.T) {
-	heapCfg := Config{Servers: 8, ArrivalRate: 1500, Service: LogNormal{0.004, 1}, Requests: 8000, Seed: 21}
-	calCfg := Config{Servers: 512, ArrivalRate: 0.8 * Capacity(512, LogNormal{0.004, 1}), Service: LogNormal{0.004, 1}, Requests: 8000, Seed: 21}
-	for _, c := range []struct {
-		name  string
-		cfg   Config
-		limit float64
-	}{
-		{"heap", heapCfg, 8},
-		{"calendar", calCfg, 64},
-	} {
-		if _, err := Run(c.cfg); err != nil {
+	cfg := Config{Servers: 512, ArrivalRate: 0.8 * Capacity(512, LogNormal{0.004, 1}), Service: LogNormal{0.004, 1}, Requests: 8000, Seed: 21}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		avg := testing.AllocsPerRun(10, func() {
-			if _, err := Run(c.cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > c.limit {
-			t.Errorf("%s: steady-state batched Run allocates %.1f times, want <= %.0f", c.name, avg, c.limit)
-		}
+	})
+	if avg > 64 {
+		t.Errorf("calendar: steady-state batched Run allocates %.1f times, want <= 64", avg)
 	}
 }
 
@@ -200,9 +177,9 @@ func BenchmarkRunBatched(b *testing.B) {
 }
 
 func BenchmarkRunScalarLoop(b *testing.B) {
-	cfg := Config{Servers: 8, ArrivalRate: 0.9 * Capacity(8, LogNormal{0.004, 1.5}), Service: LogNormal{0.004, 1.5}, Requests: 30000, Seed: 1, ReferenceEventLoop: true}
+	cfg := Config{Servers: 8, ArrivalRate: 0.9 * Capacity(8, LogNormal{0.004, 1.5}), Service: LogNormal{0.004, 1.5}, Requests: 30000, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunOracle(context.Background(), cfg, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,8 @@
 package queueing
 
 // Kernel-level equivalence and regression tests for the fast sampling
-// path, the pooled latency buffer, and the sweep APIs. Every run here
+// path (against the reference-sampling oracle) and the sweep APIs; the
+// pooled-buffer allocation pin lives in batch_test.go. Every run here
 // executes under the package TestMain's audit.Recorder, so the 35-seed
 // sweep below doubles as the audit cross-check the fast samplers must
 // stay clean against (sample-domain, clock-monotonicity, heap-order,
@@ -13,8 +14,9 @@ import (
 	"testing"
 )
 
-// TestFastMatchesReferenceAcrossSeeds runs the same stable queue in
-// fast and reference sampling mode across 35 seeds. The two modes draw
+// TestFastMatchesReferenceAcrossSeeds runs the same stable queue
+// through the production kernel and the reference-sampling oracle
+// across 35 seeds. The two modes draw
 // different sequences, so per-seed results differ by simulation noise;
 // the test pins (a) per-seed agreement within a loose band, (b) the
 // across-seed mean P95s within a tight band, and (c) identical
@@ -28,11 +30,10 @@ func TestFastMatchesReferenceAcrossSeeds(t *testing.T) {
 	}
 	var fastSum, refSum float64
 	for seed := uint64(1); seed <= 35; seed++ {
-		fcfg, rcfg := base, base
-		fcfg.Seed, rcfg.Seed = seed, seed
-		rcfg.ReferenceSampling = true
-		fast := run(t, fcfg)
-		ref := run(t, rcfg)
+		cfg := base
+		cfg.Seed = seed
+		fast := run(t, cfg)
+		ref := runOracle(t, cfg, true)
 		if fast.Saturated != ref.Saturated {
 			t.Errorf("seed %d: saturation verdicts differ (fast=%v ref=%v)", seed, fast.Saturated, ref.Saturated)
 		}
@@ -47,22 +48,22 @@ func TestFastMatchesReferenceAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestReferenceSamplingDeterministic pins that the reference path is a
-// pure function of the config — the property the differential test
-// against the pre-fast-path kernel relies on.
+// TestReferenceSamplingDeterministic pins that the reference-sampling
+// oracle is a pure function of the config — the property the
+// differential test against the pre-fast-path kernel relies on.
 func TestReferenceSamplingDeterministic(t *testing.T) {
-	cfg := Config{Servers: 4, ArrivalRate: 800, Service: Exponential{0.004}, Requests: 20000, Seed: 17, ReferenceSampling: true}
-	a, b := run(t, cfg), run(t, cfg)
+	cfg := Config{Servers: 4, ArrivalRate: 800, Service: Exponential{0.004}, Requests: 20000, Seed: 17}
+	a, b := runOracle(t, cfg, true), runOracle(t, cfg, true)
 	if a != b {
 		t.Fatalf("reference runs diverged: %+v vs %+v", a, b)
 	}
 }
 
 // TestRunSteadyStateAllocs pins the per-run allocation count once the
-// latency pool is warm. The residual allocations are the RNG, the
-// free-server heap, and the boxed sampler — not the Requests-sized
-// latency buffer or a percentile copy, which the pool and single-sort
-// Summarize eliminated.
+// latency pool is warm, on a config small enough for the heap index.
+// The residual allocations are the RNG, the free-server heap, the boxed
+// sampler and Result plumbing — not the Requests-sized latency buffer or
+// a percentile copy, which the pool and single-sort Summarize eliminated.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	cfg := Config{Servers: 8, ArrivalRate: 1500, Service: LogNormal{0.004, 1}, Requests: 8000, Seed: 21}
 	if _, err := Run(cfg); err != nil { // warm the pool
@@ -73,9 +74,6 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// RNG + heap + sampler box + Result plumbing: single digits. The
-	// pre-pool kernel allocated the 8000-element latency buffer plus a
-	// same-sized percentile copy per percentile call.
 	if avg > 8 {
 		t.Errorf("steady-state Run allocates %.1f times, want <= 8", avg)
 	}
@@ -204,16 +202,15 @@ func BenchmarkKneeSearch(b *testing.B) {
 
 func BenchmarkRunReferenceSampling(b *testing.B) {
 	cfg := Config{
-		Servers:           12,
-		ArrivalRate:       2500,
-		Service:           LogNormal{MeanSeconds: 0.004, CV: 1},
-		Requests:          20000,
-		Seed:              2,
-		ReferenceSampling: true,
+		Servers:     12,
+		ArrivalRate: 2500,
+		Service:     LogNormal{MeanSeconds: 0.004, CV: 1},
+		Requests:    20000,
+		Seed:        2,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunOracle(context.Background(), cfg, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,13 +9,14 @@
 // times. A VM with k cores serving a request-parallel application maps
 // onto a k-server queue.
 //
-// The kernel is built for sweep throughput: service distributions fold
-// their constants once per run (Prepare), samples come from ziggurat
-// fast paths unless Config.ReferenceSampling asks for the bit-exact
-// reference samplers, latency statistics come from a single sort of a
-// pooled buffer, and the sweep APIs (CurveContext, TrialsContext,
-// KneeSearch) fan out through the shared evaluation engine with
-// deterministic, index-slotted results.
+// The kernel is built for sweep throughput and has one production
+// path: service distributions fold their constants once per run
+// (Prepare), samples come from ziggurat fast paths filled a batch at a
+// time, latency statistics come from a quickselect over a pooled
+// buffer, and the sweep APIs (CurveContext, TrialsContext, KneeSearch)
+// fan out through the shared evaluation engine with deterministic,
+// index-slotted results. The scalar loop and the original samplers it
+// replaced survive only as RunOracle, the test and benchmark oracle.
 package queueing
 
 import (
@@ -37,13 +38,12 @@ type Sampler interface {
 
 // ServiceDist describes a request service-time distribution in seconds.
 // Prepare is the once-per-run step that precomputes derived parameters
-// (a log-normal's mu/sigma) and selects the sampling implementation:
-// reference=true returns a sampler bit-compatible with the original
-// per-sample Sample path, reference=false the ziggurat fast path.
+// (a log-normal's mu/sigma) and returns the ziggurat fast-path sampler;
+// Sample is the original per-draw reference path RunOracle keeps.
 type ServiceDist interface {
 	Sample(r *stats.RNG) float64
 	Mean() float64
-	Prepare(reference bool) Sampler
+	Prepare() Sampler
 }
 
 // LogNormal is a log-normal service-time distribution specified by its
@@ -75,14 +75,11 @@ func (l LogNormal) Sample(r *stats.RNG) float64 {
 // Prepare implements ServiceDist: mu and sigma are computed once here
 // instead of once per sample (two logs and a square root per request on
 // the old path).
-func (l LogNormal) Prepare(reference bool) Sampler {
+func (l LogNormal) Prepare() Sampler {
 	if l.CV <= 0 {
 		return constSampler(l.MeanSeconds)
 	}
 	mu, sigma := l.params()
-	if reference {
-		return refLogNormal{mu: mu, sigma: sigma}
-	}
 	return fastLogNormal{mu: mu, sigma: sigma}
 }
 
@@ -96,10 +93,7 @@ func (e Exponential) Mean() float64 { return e.MeanSeconds }
 func (e Exponential) Sample(r *stats.RNG) float64 { return r.Exp(e.MeanSeconds) }
 
 // Prepare implements ServiceDist.
-func (e Exponential) Prepare(reference bool) Sampler {
-	if reference {
-		return refExp(e.MeanSeconds)
-	}
+func (e Exponential) Prepare() Sampler {
 	return fastExp(e.MeanSeconds)
 }
 
@@ -107,17 +101,9 @@ type constSampler float64
 
 func (c constSampler) Sample(*stats.RNG) float64 { return float64(c) }
 
-type refLogNormal struct{ mu, sigma float64 }
-
-func (s refLogNormal) Sample(r *stats.RNG) float64 { return r.LogNormal(s.mu, s.sigma) }
-
 type fastLogNormal struct{ mu, sigma float64 }
 
 func (s fastLogNormal) Sample(r *stats.RNG) float64 { return r.FastLogNormal(s.mu, s.sigma) }
-
-type refExp float64
-
-func (m refExp) Sample(r *stats.RNG) float64 { return r.Exp(float64(m)) }
 
 type fastExp float64
 
@@ -131,23 +117,6 @@ type Config struct {
 	Warmup      int // requests discarded before measurement
 	Requests    int // measured requests
 	Seed        uint64
-	// ReferenceSampling selects the pre-optimization reference kernel:
-	// the original per-draw samplers (logarithm per exponential,
-	// Box–Muller per normal, distribution parameters recomputed every
-	// sample), per-call percentile statistics, and an unpooled latency
-	// buffer. Results are bit-identical to the kernel before the fast
-	// paths landed — the mode differential tests and the gsfbench gate
-	// compare against. The fast path draws a different sequence that is
-	// statistically equivalent (KS-tested) but not bit-compatible.
-	ReferenceSampling bool
-	// ReferenceEventLoop selects the scalar per-request event loop (the
-	// PR 5 kernel, retained verbatim) instead of the batched
-	// structure-of-arrays loop. It composes with ReferenceSampling: the
-	// batched loop interleaves its bulk draws per request in the exact
-	// scalar order, so for every (ReferenceSampling, seed) pair the two
-	// loops produce bit-identical Results — the differential wall in
-	// batch_test.go proves it across 35 seeds.
-	ReferenceEventLoop bool
 	// Audit receives invariant violations (event-clock monotonicity,
 	// service ordering, heap integrity, percentile ordering, sample
 	// domain). Nil falls back to the process default (audit.SetDefault);
@@ -224,14 +193,22 @@ func Run(cfg Config) (Result, error) {
 // 4096 requests — cheap enough to be invisible in profiles — and
 // returns the context error once observed.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
+	if err := normalize(&cfg); err != nil {
+		return Result{}, err
+	}
+	return runBatched(ctx, cfg)
+}
+
+// normalize validates cfg and fills in the default request counts.
+func normalize(cfg *Config) error {
 	if cfg.Servers <= 0 {
-		return Result{}, fmt.Errorf("queueing: servers must be positive, got %d", cfg.Servers)
+		return fmt.Errorf("queueing: servers must be positive, got %d", cfg.Servers)
 	}
 	if cfg.ArrivalRate <= 0 {
-		return Result{}, fmt.Errorf("queueing: arrival rate must be positive, got %v", cfg.ArrivalRate)
+		return fmt.Errorf("queueing: arrival rate must be positive, got %v", cfg.ArrivalRate)
 	}
 	if cfg.Service == nil {
-		return Result{}, fmt.Errorf("queueing: no service distribution")
+		return fmt.Errorf("queueing: no service distribution")
 	}
 	if cfg.Requests <= 0 {
 		cfg.Requests = 20000
@@ -239,143 +216,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = cfg.Requests / 10
 	}
-	if !cfg.ReferenceEventLoop {
-		return runBatched(ctx, cfg)
-	}
-	return runReference(ctx, cfg)
-}
-
-// runReference is the scalar per-request event loop — the PR 5 kernel,
-// retained verbatim behind Config.ReferenceEventLoop as the
-// bit-identical baseline the batched loop is proven against.
-func runReference(ctx context.Context, cfg Config) (Result, error) {
-	r := stats.NewRNG(cfg.Seed)
-	chk := audit.Resolve(cfg.Audit)
-	reference := cfg.ReferenceSampling
-	var sampler Sampler
-	if !reference {
-		sampler = cfg.Service.Prepare(false)
-	}
-
-	// All servers start free at t=0; an all-equal slice is already a
-	// valid min-heap.
-	free := make(serverHeap, cfg.Servers)
-
-	total := cfg.Warmup + cfg.Requests
-	var latencies []float64
-	if reference {
-		// The reference kernel allocates a fresh buffer per run, as the
-		// pre-pool implementation did; the benchmark gate times it.
-		latencies = make([]float64, 0, cfg.Requests)
-	} else {
-		buf := getLatencyBuf(cfg.Requests)
-		latencies = *buf
-		defer func() {
-			*buf = latencies[:0]
-			latencyPool.Put(buf)
-		}()
-	}
-	now := 0.0
-	meanIA := 1 / cfg.ArrivalRate
-	for i := 0; i < total; i++ {
-		if i&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			if chk != nil {
-				auditHeap(chk, free)
-			}
-		}
-		prev := now
-		var s float64
-		if reference {
-			// Original per-request path: reference samplers, and the
-			// distribution re-derives its parameters every sample.
-			now += r.Exp(meanIA)
-			s = cfg.Service.Sample(r)
-		} else {
-			now += r.FastExp(meanIA)
-			s = sampler.Sample(r)
-		}
-		freeAt := free[0]
-		start := now
-		if freeAt > start {
-			start = freeAt
-		}
-		done := start + s
-		if chk != nil {
-			// Samples must stay in the distributions' domain (a broken
-			// fast sampler would surface here), the event clock may
-			// only move forward, a request may not start before it
-			// arrives or complete before it starts, and its latency
-			// includes at least its own service time.
-			if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				audit.Failf(chk, "queueing", "sample-domain",
-					"service sample %g outside [0, inf) at request %d", s, i)
-			}
-			if now < prev || math.IsNaN(now) {
-				audit.Failf(chk, "queueing", "clock-monotonicity",
-					"arrival clock moved backwards: %g -> %g at request %d", prev, now, i)
-			}
-			if start < now {
-				audit.Failf(chk, "queueing", "start-before-arrival",
-					"request %d started at %g before arrival %g", i, start, now)
-			}
-			if done < start {
-				audit.Failf(chk, "queueing", "completion-before-start",
-					"request %d completed at %g before start %g", i, done, start)
-			}
-			if lat := done - now; lat < s-audit.SimTol {
-				audit.Failf(chk, "queueing", "latency-below-service",
-					"request %d latency %g below service time %g", i, lat, s)
-			}
-		}
-		free[0] = done
-		free.siftDown(0)
-		if i >= cfg.Warmup {
-			latencies = append(latencies, done-now)
-		}
-	}
-
-	// Saturation: the measured window's tail grows relative to its
-	// head, the signature of an unstable queue in a finite run. Read in
-	// arrival order, before Summarize sorts the buffer in place.
-	var head, tail float64
-	q := len(latencies) / 4
-	if q > 0 {
-		head = stats.Mean(latencies[:q])
-		tail = stats.Mean(latencies[len(latencies)-q:])
-	}
-	var sum stats.Summary
-	if reference {
-		// Original statistics path: one copy-and-sort per percentile.
-		sum = stats.Summary{
-			P50:  stats.Percentile(latencies, 50),
-			P95:  stats.Percentile(latencies, 95),
-			P99:  stats.Percentile(latencies, 99),
-			Mean: stats.Mean(latencies),
-		}
-	} else {
-		sum = stats.Summarize(latencies)
-	}
-	res := Result{
-		Offered:     cfg.ArrivalRate,
-		P50:         sum.P50,
-		P95:         sum.P95,
-		P99:         sum.P99,
-		Mean:        sum.Mean,
-		Utilization: cfg.ArrivalRate * cfg.Service.Mean() / float64(cfg.Servers),
-	}
-	if q > 0 && (res.Utilization >= 1 || tail > 3*head) {
-		res.Saturated = true
-	}
-	if chk != nil {
-		if !(res.P50 <= res.P95+audit.SimTol) || !(res.P95 <= res.P99+audit.SimTol) {
-			audit.Failf(chk, "queueing", "percentile-order",
-				"latency percentiles unordered: P50=%g P95=%g P99=%g", res.P50, res.P95, res.P99)
-		}
-	}
-	return res, nil
+	return nil
 }
 
 // auditHeap verifies the free-server heap still satisfies the min-heap
@@ -439,7 +280,7 @@ func Curve(servers int, s ServiceDist, loFrac, hiFrac float64, steps int, seed u
 }
 
 // CurveContext is Curve with cancellation and full Config control:
-// cfg supplies the queue shape, request counts, sampling mode, and the
+// cfg supplies the queue shape, request counts, seed, and the
 // audit checker (which the plain Curve API could not thread through);
 // cfg.ArrivalRate is overridden per step with the swept load. Steps fan
 // out across the evaluation engine with index-slotted results, so the
@@ -496,6 +337,12 @@ type Knee struct {
 // search is fully deterministic. Use it where only the knee is needed;
 // CurveContext still serves full-curve measurements.
 func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64) (Knee, error) {
+	return kneeSearch(ctx, cfg, loFrac, hiFrac, tolFrac, RunContext)
+}
+
+// kneeSearch is KneeSearch over a given kernel, so the differential
+// wall can drive the whole search through RunOracle.
+func kneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64, run func(context.Context, Config) (Result, error)) (Knee, error) {
 	if cfg.Servers <= 0 || cfg.Service == nil {
 		return Knee{}, fmt.Errorf("queueing: knee search needs positive servers and a service distribution")
 	}
@@ -511,7 +358,7 @@ func KneeSearch(ctx context.Context, cfg Config, loFrac, hiFrac, tolFrac float64
 		c := cfg
 		c.ArrivalRate = frac * peak
 		k.Evals++
-		return RunContext(ctx, c)
+		return run(ctx, c)
 	}
 
 	lo, err := eval(loFrac)

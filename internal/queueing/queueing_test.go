@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,15 @@ import (
 func run(t *testing.T, cfg Config) Result {
 	t.Helper()
 	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func runOracle(t *testing.T, cfg Config, referenceSampling bool) Result {
+	t.Helper()
+	res, err := RunOracle(context.Background(), cfg, referenceSampling)
 	if err != nil {
 		t.Fatal(err)
 	}

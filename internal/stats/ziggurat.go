@@ -16,10 +16,11 @@ package stats
 // The fast samplers draw a *different* random sequence than the
 // reference ones, so results are statistically equivalent but not
 // bit-identical. Callers that need bit-compatibility with the reference
-// stream (golden results, differential tests) keep using Exp/Normal;
-// the queueing simulator exposes the choice as Config.ReferenceSampling
-// and the KS-distance tests in this package prove the two modes sample
-// the same distributions.
+// stream (golden results, differential tests) keep using Exp/Normal.
+// The queueing simulator's production kernel draws only the fast
+// samplers; its test and benchmark oracle takes the choice as an
+// argument. The KS-distance tests in this package prove the two modes
+// sample the same distributions.
 //
 // Tables are built once at init from the published tail roots and strip
 // areas rather than embedded as opaque constants, and an init check
