@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -63,10 +64,21 @@ type options struct {
 	cfg   server.Config
 }
 
+// Connection timeouts. Idle keep-alive connections are reaped after
+// idleTimeout. There is deliberately no write timeout: /v1/batch,
+// /v1/sweep and /v1/design stream responses that may outlast any fixed
+// bound, and per-request work is already capped by -timeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // parseFlags builds the daemon options from argv (split out of main for
-// testing).
-func parseFlags(args []string) (options, error) {
+// testing). Every error it returns has already been reported on
+// stderr, either by the flag package or here.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("gsfd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var o options
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful shutdown timeout")
@@ -86,7 +98,9 @@ func parseFlags(args []string) (options, error) {
 		return o, err
 	}
 	if fs.NArg() > 0 {
-		return o, fmt.Errorf("unexpected arguments: %v", fs.Args())
+		err := fmt.Errorf("unexpected arguments: %v", fs.Args())
+		fmt.Fprintln(stderr, "gsfd:", err)
+		return o, err
 	}
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {
@@ -99,7 +113,7 @@ func parseFlags(args []string) (options, error) {
 }
 
 func main() {
-	o, err := parseFlags(os.Args[1:])
+	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
 		os.Exit(2)
 	}
@@ -108,6 +122,17 @@ func main() {
 	if err := run(o, log); err != nil {
 		log.Error("gsfd failed", "err", err)
 		os.Exit(1)
+	}
+}
+
+// newHTTPServer builds the daemon's listener with its connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -127,11 +152,7 @@ func run(o options, log *slog.Logger) error {
 		return err
 	}
 
-	httpSrv := &http.Server{
-		Addr:              o.addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv := newHTTPServer(o.addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

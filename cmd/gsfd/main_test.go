@@ -1,12 +1,15 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
-	o, err := parseFlags(nil)
+	o, err := parseFlags(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-addr", ":9090", "-workers", "8", "-queue", "128",
 		"-cache-entries", "64", "-cache-ttl", "5m", "-timeout", "10s", "-drain", "1m",
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +45,14 @@ func TestParseFlagsOverrides(t *testing.T) {
 }
 
 func TestParseFlagsAudit(t *testing.T) {
-	o, err := parseFlags(nil)
+	o, err := parseFlags(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.audit {
 		t.Error("auditing on by default")
 	}
-	o, err = parseFlags([]string{"-audit"})
+	o, err = parseFlags([]string{"-audit"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +62,40 @@ func TestParseFlagsAudit(t *testing.T) {
 }
 
 func TestParseFlagsRejectsPositionalArgs(t *testing.T) {
-	if _, err := parseFlags([]string{"serve"}); err == nil {
+	var stderr strings.Builder
+	if _, err := parseFlags([]string{"extra-arg"}, &stderr); err == nil {
 		t.Error("positional argument accepted")
+	}
+	if got := stderr.String(); !strings.Contains(got, "unexpected arguments: [extra-arg]") {
+		t.Errorf("stderr %q does not report the positional argument", got)
+	}
+}
+
+// TestParseFlagsReportsFlagErrorsOnce: the flag package prints its own
+// parse errors, and parseFlags must not print them a second time.
+func TestParseFlagsReportsFlagErrorsOnce(t *testing.T) {
+	var stderr strings.Builder
+	if _, err := parseFlags([]string{"-no-such-flag"}, &stderr); err == nil {
+		t.Fatal("unknown flag accepted")
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined"); n != 1 {
+		t.Errorf("flag error printed %d times, want once:\n%s", n, stderr.String())
+	}
+}
+
+// TestHTTPServerTimeouts pins the listener's timeouts: idle keep-alive
+// connections are reaped, and no write timeout cuts off a streamed
+// response.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v would cut off streamed responses", srv.WriteTimeout)
 	}
 }
 
@@ -69,7 +104,7 @@ func TestParseFlagsShardingAndRate(t *testing.T) {
 		"-rate", "50", "-burst", "200",
 		"-self", "http://n1:8080",
 		"-peers", "http://n1:8080, http://n2:8080,http://n3:8080,",
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

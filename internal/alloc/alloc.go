@@ -262,12 +262,10 @@ func better(c, m float64, ne bool, bc, bm float64, bne bool, pol Policy, preferN
 }
 
 // admissible is the audit's placement check: the server had the free
-// capacity the VM took, within audit.SimTol. The tolerance matters for
-// the multi-pool full-node rule, which takes the first empty server
-// without a fit check, so a drained server a rounding error short of a
-// whole node is still a legal pick.
+// capacity the VM took. Every placement rule checks fit exactly, so
+// the check is exact too.
 func admissible(coresFree, memFree, cores, mem float64) bool {
-	return coresFree+audit.SimTol >= cores && memFree+audit.SimTol >= mem
+	return coresFree >= cores && memFree >= mem
 }
 
 // auditServerBounds checks one mutated server's free capacity stays in

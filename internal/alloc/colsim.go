@@ -159,9 +159,9 @@ func (f *fleet) combine(t int32, virgin bool, pol Policy) int32 {
 	}
 }
 
-// firstEmptyFitting is the single-green full-node rule: the lowest id
-// of an empty server fitting (cores, mem). Touched empties all precede
-// the first virgin.
+// firstEmptyFitting is the full-node rule: the lowest id of an empty
+// server fitting (cores, mem). Touched empties all precede the first
+// virgin.
 func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 	if f.frontier > 0 {
 		if t := f.ix.firstEmptyFittingNode(cores, mem); t != nilNode {
@@ -169,18 +169,6 @@ func (f *fleet) firstEmptyFitting(cores, mem float64) int32 {
 		}
 	}
 	if f.frontier < f.n && f.capC >= cores && f.capM >= mem {
-		return f.frontier
-	}
-	return nilNode
-}
-
-// firstEmpty is the multi-pool full-node rule: the lowest id of an
-// empty server, with no capacity condition.
-func (f *fleet) firstEmpty() int32 {
-	if t := f.ix.segFirstEmpty(); t != nilNode {
-		return t
-	}
-	if f.frontier < f.n {
 		return f.frontier
 	}
 	return nilNode
@@ -342,11 +330,10 @@ func colDepSiftDown(h colDepHeap, i int) {
 // trace order, close with Finish. Between Steps its entire state is
 // flat data — Snapshot/Restore (snapshot.go) checkpoint it exactly.
 //
-// A Sim built by NewSim (or Restore) runs the Config rules: two pools,
-// one Decider, full-node VMs on the first empty baseline server that
-// fits a whole node. SimulateMultiContext builds one with K green pools
-// and a MultiDecider, whose full-node rule takes the first empty
-// baseline server with no fit check.
+// A Sim built by NewSim (or Restore) runs the Config rules: two pools
+// and one Decider. SimulateMultiContext builds one with K green pools
+// and a MultiDecider. Both place full-node VMs on the first empty
+// baseline server that fits a whole node.
 type Sim struct {
 	router
 	chk  audit.Checker
@@ -437,15 +424,6 @@ func (s *Sim) observe() {
 	s.res.Snapshots++
 }
 
-// fullNodePick applies the sim's full-node rule to the baseline pool.
-func (s *Sim) fullNodePick() int32 {
-	base := &s.pools[0]
-	if s.decideMulti != nil {
-		return base.firstEmpty()
-	}
-	return base.firstEmptyFitting(base.capC, base.capM)
-}
-
 // Step consumes one arrival. Events must arrive in trace order; each
 // is validated on the way in (trace.CheckVM), so malformed streams are
 // rejected at the first bad event with the same message Validate gives.
@@ -466,10 +444,11 @@ func (s *Sim) Step(vm trace.VM) error {
 	var cores, mem float64
 	// touchedFit is whether the chosen pool had a feasible touched
 	// server. It stays false for full-node VMs: they take the first
-	// empty server, so opening a new one means none was empty.
+	// empty server that fits, so opening a new one means none did.
 	var touchedFit bool
 	if vm.FullNode {
-		placed = s.fullNodePick()
+		base := &s.pools[0]
+		placed = base.firstEmptyFitting(base.capC, base.capM)
 		if s.chk != nil {
 			s.auditFullNodePick(placed)
 		}
@@ -569,14 +548,13 @@ func (s *Sim) pickFrom(f *fleet, cores, mem float64) (int32, bool) {
 }
 
 // auditFullNodePick cross-checks the full-node selection against a
-// scan for the lowest empty server (that fits a whole node, under the
-// Config rule).
+// scan for the lowest empty server that fits a whole node.
 func (s *Sim) auditFullNodePick(got int32) {
 	base := &s.pools[0]
 	want := nilNode
 	for id := int32(0); id < base.limit(); id++ {
 		c, m, ne := base.state(id)
-		if !ne && (s.decideMulti != nil || c >= base.capC && m >= base.capM) {
+		if !ne && c >= base.capC && m >= base.capM {
 			want = id
 			break
 		}

@@ -260,9 +260,10 @@ func multiDiffDecider(vm trace.VM) MultiDecision {
 }
 
 // TestDifferentialMultiPool proves the multi-pool path against the
-// oracle with 1, 2 and 3 green pools: its full-node rule (first empty
-// server regardless of capacity) and per-pool scaled directives go
-// through different index queries than the single-green path.
+// oracle with 1, 2 and 3 green pools: its per-pool scaled directives,
+// forbidden pools and fall-through to later pools go through routing
+// the single-green path never takes. Full-node VMs follow the same rule
+// as there (first empty baseline server that fits a whole node).
 func TestDifferentialMultiPool(t *testing.T) {
 	traces := productionSuite(t)
 	totalPlaced, totalRejected := 0, 0

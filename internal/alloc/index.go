@@ -22,9 +22,9 @@ package alloc
 //     index of its (cores, mem) tie group. The occupancy split makes
 //     PreferNonEmpty a query on one root with fallback to the other.
 //   - A segment tree over server indices holding per-class maxima of
-//     (coresFree, memFree) plus a count of empty servers. FirstFit is
-//     the leftmost feasible leaf; full-node placement is the leftmost
-//     feasible (or, for multi-pool, leftmost unconditional) empty leaf.
+//     (coresFree, memFree). FirstFit is the leftmost feasible leaf;
+//     full-node placement is the leftmost empty leaf that fits a whole
+//     node.
 //
 // ixCore knows servers only as ids with (coresFree, memFree,
 // occupancy) keys: the columnar fleet (colsim.go) attaches ids straight
@@ -58,12 +58,10 @@ type treapNode struct {
 }
 
 // segNode aggregates a range of server indices: per-occupancy-class
-// maxima of free capacity (negInf when the class is absent) and the
-// count of empty servers.
+// maxima of free capacity (negInf when the class is absent).
 type segNode struct {
 	coresNE, memNE float64
 	coresE, memE   float64
-	cntE           int32
 }
 
 // emptySeg is the identity element of the segment-tree combine.
@@ -277,7 +275,7 @@ func (ix *ixCore) segSet(id int32, cores, mem float64, ne bool) {
 	if ne {
 		*sn = segNode{coresNE: cores, memNE: mem, coresE: negInf, memE: negInf}
 	} else {
-		*sn = segNode{coresNE: negInf, memNE: negInf, coresE: cores, memE: mem, cntE: 1}
+		*sn = segNode{coresNE: negInf, memNE: negInf, coresE: cores, memE: mem}
 	}
 	for i >>= 1; i >= 1; i >>= 1 {
 		ix.seg[i] = combineSeg(&ix.seg[2*i], &ix.seg[2*i+1])
@@ -290,7 +288,6 @@ func combineSeg(l, r *segNode) segNode {
 		memNE:   fmax(l.memNE, r.memNE),
 		coresE:  fmax(l.coresE, r.coresE),
 		memE:    fmax(l.memE, r.memE),
-		cntE:    l.cntE + r.cntE,
 	}
 }
 
@@ -407,23 +404,6 @@ func (ix *ixCore) segFirst(i int32, c, m float64, wantNE, wantE bool) int32 {
 	return ix.segFirst(2*i+1, c, m, wantNE, wantE)
 }
 
-// segFirstEmpty returns the lowest index of an empty server with no
-// capacity condition (the multi-pool full-node rule), or nilNode.
-func (ix *ixCore) segFirstEmpty() int32 {
-	if ix.segSize == 0 || ix.seg[1].cntE == 0 {
-		return nilNode
-	}
-	i := int32(1)
-	for i < ix.segSize {
-		if ix.seg[2*i].cntE > 0 {
-			i = 2 * i
-		} else {
-			i = 2*i + 1
-		}
-	}
-	return i - ix.segSize
-}
-
 // pickClass selects the policy-preferred feasible server within one
 // occupancy class, or nilNode.
 func (ix *ixCore) pickClass(cores, mem float64, pol Policy, nonEmpty bool) int32 {
@@ -471,7 +451,7 @@ func (ix *ixCore) pickNode(cores, mem float64, pol Policy, preferNonEmpty bool) 
 }
 
 // firstEmptyFittingNode returns the lowest id of an empty server that
-// fits (cores, mem), or nilNode — the single-pool full-node rule.
+// fits (cores, mem), or nilNode — the full-node rule.
 func (ix *ixCore) firstEmptyFittingNode(cores, mem float64) int32 {
 	if ix.segSize == 0 {
 		return nilNode
@@ -524,8 +504,8 @@ func (ix *ixCore) maxKeyFirstIdx(a, b int32) int32 {
 // auditIntegrityCore walks the whole index and reports any structural
 // drift against the live pool state (supplied per id by state) to the
 // audit layer: treap ordering and heap shape, augmentation sums,
-// occupancy classification, key staleness, segment-tree maxima and
-// empty counts, and that every one of the n attached ids is indexed
+// occupancy classification, key staleness, segment-tree maxima, and
+// that every one of the n attached ids is indexed
 // exactly once. The conservation audit calls it so audited
 // simulations verify the index itself, not just the pool.
 func (ix *ixCore) auditIntegrityCore(chk audit.Checker, pool string, n int32, state func(id int32) (cores, mem float64, ne bool)) {
@@ -609,7 +589,7 @@ func (ix *ixCore) auditIntegrityCore(chk audit.Checker, pool string, n int32, st
 			if sne {
 				want.coresNE, want.memNE = sc, sm
 			} else {
-				want.coresE, want.memE, want.cntE = sc, sm, 1
+				want.coresE, want.memE = sc, sm
 			}
 		}
 		if sn != want {

@@ -80,6 +80,34 @@ func TestMultiFullNodePinsToBaseline(t *testing.T) {
 	}
 }
 
+// TestFullNodeSkipsDriftedServer pins the one full-node rule: a
+// drained baseline server whose free memory ended a rounding error
+// short of a whole node (768 - 51.863 - 95.294 + 51.863 + 95.294 <
+// 768) does not fit a full-node VM, on the Config path and on the
+// multi-pool path alike, so with no other server the VM is rejected.
+func TestFullNodeSkipsDriftedServer(t *testing.T) {
+	tr := trace.Trace{Name: "drift", Horizon: 10, VMs: []trace.VM{
+		{ID: 0, Arrive: 1, Depart: 5, Cores: 2, Memory: 51.863, Gen: 3, MaxMemFrac: 0.5},
+		{ID: 1, Arrive: 2, Depart: 6, Cores: 2, Memory: 95.294, Gen: 3, MaxMemFrac: 0.5},
+		{ID: 2, Arrive: 7, Depart: 9, Cores: 80, Memory: 768, Gen: 3, FullNode: true, MaxMemFrac: 0.5},
+	}}
+	single, err := Simulate(tr, Config{Base: baseClass(), NBase: 1, Policy: BestFit, PreferNonEmpty: true}, AdoptNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := SimulateMulti(tr, MultiConfig{Base: Pool{Class: baseClass(), N: 1}, Greens: twoGreens(), Policy: BestFit, PreferNonEmpty: true},
+		func(trace.VM) MultiDecision { return MultiDecision{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Placed != 2 || single.Rejected != 1 {
+		t.Errorf("Config replay placed %d, rejected %d; want 2 placed, the full-node VM rejected", single.Placed, single.Rejected)
+	}
+	if multi.Placed != single.Placed || multi.Rejected != single.Rejected {
+		t.Errorf("multi-pool replay placed %d, rejected %d; Config replay %d, %d", multi.Placed, multi.Rejected, single.Placed, single.Rejected)
+	}
+}
+
 func TestMultiMatchesSingleWhenOnePool(t *testing.T) {
 	// With one green pool and equivalent directives, SimulateMulti
 	// must agree with Simulate.

@@ -156,7 +156,7 @@ func (o *router) cappedRejects(pools [][]*server, pool, k int, vm trace.VM, d De
 	if vm.FullNode {
 		capC, capM := float64(o.cfg.Base.Cores), float64(o.cfg.Base.Memory)
 		for _, s := range base[:k] {
-			if s.vms == 0 && (o.decideMulti != nil || s.fits(capC, capM)) {
+			if s.vms == 0 && s.fits(capC, capM) {
 				return false
 			}
 		}
@@ -242,12 +242,11 @@ func oracleReplay(ctx context.Context, o *router, tr trace.Trace, greens []Pool)
 		pool, placed := 0, nilNode
 		var cores, mem float64
 		if vm.FullNode {
-			// Full-node VMs take the first empty baseline server: one
-			// that fits a whole node under the Config rule, any under
-			// the multi-pool rule.
+			// Full-node VMs take the first empty baseline server that
+			// fits a whole node.
 			cores, mem = float64(classes[0].Cores), float64(classes[0].Memory)
 			for id, s := range pools[0] {
-				if s.vms == 0 && (o.decideMulti != nil || s.fits(cores, mem)) {
+				if s.vms == 0 && s.fits(cores, mem) {
 					placed = int32(id)
 					break
 				}

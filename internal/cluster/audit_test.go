@@ -22,23 +22,43 @@ func TestAuditCleanMixedSize(t *testing.T) {
 func TestAuditMixCatchesBadResults(t *testing.T) {
 	tr := testTrace(t, 4)
 	rec := audit.NewRecorder()
-	s := &Sizer{Base: baseClass(), Green: greenClass(), Audit: rec}
+	one := []alloc.ServerClass{greenClass()}
 
-	s.auditMix(tr, Mix{BaselineOnly: 3, NBase: 5, NGreen: 0})
+	auditMix(rec, tr, baseClass(), one, MultiMix{BaselineOnly: 3, NBase: 5, NGreens: []int{0}})
 	if rec.Counts()["cluster/baseline-shrinks"] == 0 {
 		t.Errorf("baseline growth not caught: %v", rec.Counts())
 	}
 
 	rec.Reset()
-	s.auditMix(tr, Mix{BaselineOnly: 10, NBase: -1, NGreen: 2})
+	auditMix(rec, tr, baseClass(), one, MultiMix{BaselineOnly: 10, NBase: -1, NGreens: []int{2}})
 	if rec.Counts()["cluster/negative-size"] == 0 {
 		t.Errorf("negative count not caught: %v", rec.Counts())
 	}
 
 	// An empty cluster cannot cover the trace's peak demand.
 	rec.Reset()
-	s.auditMix(tr, Mix{BaselineOnly: 10, NBase: 0, NGreen: 0})
+	auditMix(rec, tr, baseClass(), one, MultiMix{BaselineOnly: 10, NBase: 0, NGreens: []int{0}})
 	if rec.Counts()["cluster/capacity-below-peak"] == 0 {
 		t.Errorf("under-capacity mix not caught: %v", rec.Counts())
+	}
+}
+
+// TestAuditMixCatchesBadMultiResults runs the same checks over K = 2
+// green pools, the shape MultiSizer audits: a negative count in a later
+// pool, and capacity counted across every pool.
+func TestAuditMixCatchesBadMultiResults(t *testing.T) {
+	tr := testTrace(t, 4)
+	rec := audit.NewRecorder()
+	two := []alloc.ServerClass{greenClass(), greenClass()}
+
+	auditMix(rec, tr, baseClass(), two, MultiMix{BaselineOnly: 10, NBase: 2, NGreens: []int{3, -1}})
+	if rec.Counts()["cluster/negative-size"] == 0 {
+		t.Errorf("negative count in the second green pool not caught: %v", rec.Counts())
+	}
+
+	rec.Reset()
+	auditMix(rec, tr, baseClass(), two, MultiMix{BaselineOnly: 10, NBase: 0, NGreens: []int{0, 0}})
+	if rec.Counts()["cluster/capacity-below-peak"] == 0 {
+		t.Errorf("under-capacity multi-pool mix not caught: %v", rec.Counts())
 	}
 }

@@ -162,21 +162,26 @@ func (s *Sizer) MixedSizeContext(ctx context.Context, tr trace.Trace) (Mix, erro
 	if m.NGreen, err = green.search(greenCap); err != nil {
 		return m, err
 	}
-	s.auditMix(tr, m)
+	auditMix(audit.Resolve(s.Audit), tr, s.Base, []alloc.ServerClass{s.Green},
+		MultiMix{BaselineOnly: m.BaselineOnly, NBase: m.NBase, NGreens: []int{m.NGreen}})
 	return m, nil
 }
 
-// auditMix verifies a sizing result: counts are non-negative, the mixed
-// cluster never keeps more baseline servers than the all-baseline
-// right-sizing, and (because it hosts the trace with zero rejections,
-// and GreenSKU placement only inflates requests) its core and memory
-// capacity cover the trace's peak concurrent demand.
-func (s *Sizer) auditMix(tr trace.Trace, m Mix) {
-	chk := audit.Resolve(s.Audit)
+// auditMix verifies a sizing result over the baseline class and the
+// green classes (aligned with m.NGreens): counts are non-negative, the
+// mixed cluster never keeps more baseline servers than the
+// all-baseline right-sizing, and (because it hosts the trace with zero
+// rejections, and GreenSKU placement only inflates requests) its core
+// and memory capacity cover the trace's peak concurrent demand.
+func auditMix(chk audit.Checker, tr trace.Trace, base alloc.ServerClass, greens []alloc.ServerClass, m MultiMix) {
 	if chk == nil {
 		return
 	}
-	if m.BaselineOnly < 0 || m.NBase < 0 || m.NGreen < 0 {
+	negative := m.BaselineOnly < 0 || m.NBase < 0
+	for _, n := range m.NGreens {
+		negative = negative || n < 0
+	}
+	if negative {
 		audit.Failf(chk, "cluster", "negative-size", "mix %+v has a negative count", m)
 	}
 	if m.NBase > m.BaselineOnly {
@@ -189,17 +194,21 @@ func (s *Sizer) auditMix(tr trace.Trace, m Mix) {
 	// full-node VMs requesting more than one baseline server, which
 	// consume only the server they pin.
 	for _, v := range tr.VMs {
-		if v.FullNode && (v.Cores > s.Base.Cores || float64(v.Memory) > float64(s.Base.Memory)) {
+		if v.FullNode && (v.Cores > base.Cores || float64(v.Memory) > float64(base.Memory)) {
 			return
 		}
 	}
 	st := trace.Summarise(tr)
-	cores := m.NBase*s.Base.Cores + m.NGreen*s.Green.Cores
+	cores := m.NBase * base.Cores
+	mem := float64(m.NBase) * float64(base.Memory)
+	for i, g := range greens {
+		cores += m.NGreens[i] * g.Cores
+		mem += float64(m.NGreens[i]) * float64(g.Memory)
+	}
 	if cores < st.PeakCoreDmd {
 		audit.Failf(chk, "cluster", "capacity-below-peak",
 			"trace %s: mixed capacity %d cores below peak demand %d", tr.Name, cores, st.PeakCoreDmd)
 	}
-	mem := float64(m.NBase)*float64(s.Base.Memory) + float64(m.NGreen)*float64(s.Green.Memory)
 	if mem < float64(st.PeakMemoryDmd) {
 		audit.Failf(chk, "cluster", "capacity-below-peak",
 			"trace %s: mixed capacity %g GB below peak demand %g", tr.Name, mem, float64(st.PeakMemoryDmd))

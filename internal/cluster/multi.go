@@ -84,7 +84,8 @@ func (s *MultiSizer) stage(ctx context.Context, tr trace.Trace, pool int, counts
 // the preference order the decider uses, so earlier pools absorb the
 // workload they are preferred for. Each search is a bisection through
 // a proof table, like Sizer's; the last search's boundary guarantee
-// (searchMin) means the returned cluster hosts the trace.
+// (searchMin) means the returned cluster hosts the trace. Under the
+// process default checker the result is audited as Sizer's is.
 func (s *MultiSizer) Size(tr trace.Trace) (MultiMix, error) {
 	return s.SizeContext(context.Background(), tr)
 }
@@ -126,6 +127,7 @@ func (s *MultiSizer) SizeContext(ctx context.Context, tr trace.Trace) (MultiMix,
 	}
 	m.NBase = counts[0]
 	m.NGreens = counts[1:]
+	auditMix(audit.Resolve(nil), tr, s.Base, s.Greens, m)
 	return m, nil
 }
 

@@ -14,9 +14,9 @@ package queueing
 //     the exact scalar order — the ziggurat consumes a variable number
 //     of 64-bit words per sample, so filling all gaps first would
 //     permute the stream (stats.TestPairFillsMatchScalarSequence).
-//  2. The server index is a multiset of next-free times with no
-//     identities: the heap and the calendar queue extract the same
-//     minimum values, so dispatch decisions are identical.
+//  2. The server index is the scalar loop's binary heap of next-free
+//     times, rewritten at the root and sifted down exactly as there,
+//     so dispatch decisions are identical.
 //  3. Each percentile is an interpolation of exact order statistics,
 //     so the quickselect summary equals the sort-based one bit for bit
 //     (stats.TestSummarizeSelectMatchesSummarize).
@@ -37,14 +37,6 @@ import (
 // context-poll cadence (i&4095 == 0) so batching changes neither the
 // cancellation latency nor the audit sweep frequency.
 const eventBatch = 4096
-
-// calendarMinServers is the server count at which the batched loop
-// switches its next-free index from the binary heap to the calendar
-// queue. Below it the heap's few cache-hot sift levels win; from here
-// up the calendar's O(1) amortized extract-min does (measured
-// crossover between 16 and 32 servers; see BenchmarkServerIndex in
-// batch_test.go).
-const calendarMinServers = 64
 
 // eventBuf holds one batch of pre-sampled arrival gaps and service
 // times; pooled so steady-state runs allocate nothing per batch.
@@ -69,13 +61,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 	}()
 
 	total := cfg.Warmup + cfg.Requests
-	var free serverHeap
-	var cal *calendarQueue
-	if cfg.Servers >= calendarMinServers {
-		cal = newCalendarQueue(cfg.Servers, calendarSpan(cfg), cfg.ArrivalRate, total)
-	} else {
-		free = make(serverHeap, cfg.Servers)
-	}
+	free := make(serverHeap, cfg.Servers)
 
 	eb := eventBufPool.Get().(*eventBuf)
 	defer eventBufPool.Put(eb)
@@ -87,11 +73,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		if chk != nil {
-			if cal != nil {
-				auditCalendar(chk, cal, cfg.Servers)
-			} else {
-				auditHeap(chk, free)
-			}
+			auditHeap(chk, free)
 		}
 		n := total - base
 		if n > eventBatch {
@@ -100,21 +82,7 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 		gaps, svc := eb.gaps[:n:n], eb.svc[:n:n]
 		fillEvents(sampler, r, gaps, svc, meanIA)
 
-		switch {
-		case chk == nil && cal != nil:
-			for k := 0; k < n; k++ {
-				now += gaps[k]
-				start := cal.next()
-				if now > start {
-					start = now
-				}
-				done := start + svc[k]
-				cal.replace(done)
-				if base+k >= cfg.Warmup {
-					latencies = append(latencies, done-now)
-				}
-			}
-		case chk == nil:
+		if chk == nil {
 			for k := 0; k < n; k++ {
 				now += gaps[k]
 				start := free[0]
@@ -128,36 +96,21 @@ func runBatched(ctx context.Context, cfg Config) (Result, error) {
 					latencies = append(latencies, done-now)
 				}
 			}
-		case cal != nil:
-			for k := 0; k < n; k++ {
-				prev := now
-				now += gaps[k]
-				start := cal.next()
-				if now > start {
-					start = now
-				}
-				done := start + svc[k]
-				auditEvent(chk, base+k, svc[k], prev, now, start, done)
-				cal.replace(done)
-				if base+k >= cfg.Warmup {
-					latencies = append(latencies, done-now)
-				}
+			continue
+		}
+		for k := 0; k < n; k++ {
+			prev := now
+			now += gaps[k]
+			start := free[0]
+			if now > start {
+				start = now
 			}
-		default:
-			for k := 0; k < n; k++ {
-				prev := now
-				now += gaps[k]
-				start := free[0]
-				if now > start {
-					start = now
-				}
-				done := start + svc[k]
-				auditEvent(chk, base+k, svc[k], prev, now, start, done)
-				free[0] = done
-				free.siftDown(0)
-				if base+k >= cfg.Warmup {
-					latencies = append(latencies, done-now)
-				}
+			done := start + svc[k]
+			auditEvent(chk, base+k, svc[k], prev, now, start, done)
+			free[0] = done
+			free.siftDown(0)
+			if base+k >= cfg.Warmup {
+				latencies = append(latencies, done-now)
 			}
 		}
 	}

@@ -13,9 +13,11 @@
 // path: service distributions fold their constants once per run
 // (Prepare), samples come from ziggurat fast paths filled a batch at a
 // time, latency statistics come from a quickselect over a pooled
-// buffer, and the sweep APIs (CurveContext, TrialsContext, KneeSearch)
-// fan out through the shared evaluation engine with deterministic,
-// index-slotted results. The scalar loop and the original samplers it
+// buffer, and the sweep APIs (CurveContext, KneeSearch) fan out
+// through the shared evaluation engine with deterministic,
+// index-slotted results. Servers' next-free times sit in one binary
+// heap: every queue GSF simulates is a profiled VM of 8-12 cores. The
+// scalar loop and the original samplers it
 // replaced survive only as RunOracle, the test and benchmark oracle.
 package queueing
 
@@ -240,30 +242,6 @@ func Capacity(servers int, s ServiceDist) float64 {
 // sweepSeed derives the seed of a sweep's i-th run, the convention
 // every sweep API in the repository uses (base seed plus index).
 func sweepSeed(base uint64, i int) uint64 { return base + uint64(i) }
-
-// Trials runs n independent simulations differing only in seed and
-// returns the per-trial P95 values, mirroring the paper's protocol of
-// three trials with 99% confidence intervals.
-func Trials(cfg Config, n int) ([]float64, error) {
-	return TrialsContext(context.Background(), cfg, n)
-}
-
-// TrialsContext is Trials with cancellation: trials fan out across the
-// evaluation engine (deterministic, index-slotted results, so parallel
-// and serial runs agree), the context cancels in-flight simulations,
-// and cfg.Audit is threaded through every trial.
-func TrialsContext(ctx context.Context, cfg Config, n int) ([]float64, error) {
-	res := engine.Map(ctx, 0, n, func(ctx context.Context, i int) (float64, error) {
-		c := cfg
-		c.Seed = sweepSeed(cfg.Seed, i)
-		r, err := RunContext(ctx, c)
-		if err != nil {
-			return 0, err
-		}
-		return r.P95, nil
-	})
-	return engine.Collect(res)
-}
 
 // CurvePoint is one point of a latency-versus-load curve.
 type CurvePoint struct {

@@ -171,19 +171,6 @@ func TestCurveShape(t *testing.T) {
 	}
 }
 
-func TestTrials(t *testing.T) {
-	vals, err := Trials(Config{Servers: 8, ArrivalRate: 1000, Service: LogNormal{0.004, 1}, Requests: 20000, Seed: 9}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 {
-		t.Fatalf("got %d trials, want 3", len(vals))
-	}
-	if vals[0] == vals[1] && vals[1] == vals[2] {
-		t.Fatal("trials with distinct seeds produced identical p95")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Servers: 0, ArrivalRate: 1, Service: Exponential{0.001}},
